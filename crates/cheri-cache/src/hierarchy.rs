@@ -396,10 +396,36 @@ impl Hierarchy {
     /// Simulates an access of `len` bytes at `addr` (split across L1 lines
     /// as the hardware would), returning the cycles charged. Zero-length
     /// accesses (e.g. `memcpy(d, s, 0)`) touch no line and cost nothing.
+    #[inline]
     pub fn access(&mut self, addr: u64, len: u64, write: bool) -> u64 {
         if len == 0 {
             return 0;
         }
+        let line = self.cfg.l1.line_bytes;
+        // The hit path: an access inside one resident L1 line costs the
+        // port and nothing else — the same charge, clock and counters
+        // as the general path below.
+        let line_addr = addr & !(line - 1);
+        if addr
+            .checked_add(len - 1)
+            .is_some_and(|last| last & !(line - 1) == line_addr)
+            && self.l1.hit(line_addr, write)
+        {
+            let port = match self.port_flat {
+                Some(p) => p,
+                None => self.cfg.port_cycles(len),
+            };
+            self.stats.l1_hits += 1;
+            self.now += port;
+            self.stats.cycles += port;
+            return port;
+        }
+        self.access_lines(addr, len, write)
+    }
+
+    /// The general path of [`Hierarchy::access`]: splits the access into
+    /// L1 lines and runs each through the transaction engine.
+    fn access_lines(&mut self, addr: u64, len: u64, write: bool) -> u64 {
         let line = self.cfg.l1.line_bytes;
         let mut cycles = 0;
         let mut a = addr;
@@ -426,6 +452,7 @@ impl Hierarchy {
     /// VM's cycle counter): the hierarchy clock is advanced to it first,
     /// so compute gaps between accesses close transaction burst windows.
     /// Charges are unaffected under the legacy knobs.
+    #[inline]
     pub fn access_at(&mut self, now: u64, addr: u64, len: u64, write: bool) -> u64 {
         self.now = self.now.max(now);
         self.access(addr, len, write)

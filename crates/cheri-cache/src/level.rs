@@ -182,6 +182,33 @@ impl Level {
             .any(|l| l.valid && l.tag == tag)
     }
 
+    /// The hit half of [`Level::access`]: if the line containing
+    /// `line_addr` is resident, refreshes and (on a write) dirties it
+    /// exactly as `access` would and returns `true`; otherwise changes
+    /// nothing, so the caller can fall back to `access`.
+    #[inline]
+    pub(crate) fn hit(&mut self, line_addr: u64, write: bool) -> bool {
+        let (set_idx, tag) = self.set_and_tag(line_addr);
+        let wmask = if write { self.sector_bit(line_addr) } else { 0 };
+        let ways = self.spec.ways as usize;
+        let set = &mut self.lines[set_idx * ways..(set_idx + 1) * ways];
+        // Search every way without an early exit: which way holds the line
+        // changes from access to access, so a per-way branch mispredicts.
+        let mut way = usize::MAX;
+        for (i, l) in set.iter().enumerate() {
+            if l.valid & (l.tag == tag) {
+                way = i;
+            }
+        }
+        let Some(l) = set.get_mut(way) else {
+            return false;
+        };
+        self.clock += 1;
+        l.stamp = self.clock;
+        l.dirty |= wmask;
+        true
+    }
+
     /// Looks up the line containing `line_addr`, filling on miss (into a
     /// free way if one exists, else over the least-recently-used line).
     /// A write dirties the sector containing `line_addr`.

@@ -455,6 +455,20 @@ impl Capability {
     /// * [`CapError::BoundsViolation`] — any byte outside
     ///   `[base, base + length)`.
     pub fn check_access(&self, len: u64, required: Perms) -> CapResult<u64> {
+        self.check_access_at(self.offset, len, required)
+    }
+
+    /// [`Capability::check_access`] as if the offset were `offset`: the
+    /// check `set_offset(offset)` followed by `check_access` performs, with
+    /// the same errors in the same order, but without building the moved
+    /// copy. This is the load/store pipeline's check on a register operand
+    /// plus an immediate displacement.
+    ///
+    /// # Errors
+    ///
+    /// As [`Capability::check_access`].
+    #[inline]
+    pub fn check_access_at(&self, offset: u64, len: u64, required: Perms) -> CapResult<u64> {
         if !self.tag {
             return Err(CapError::TagViolation);
         }
@@ -464,14 +478,11 @@ impl Capability {
         if !self.perms.contains(required) {
             return Err(CapError::PermissionViolation(required));
         }
-        let addr = self.address();
+        let addr = self.base.wrapping_add(offset);
         // offset may have wrapped; the access is valid iff it lies entirely
         // within [base, top). Work in u128 to dodge overflow corner cases.
-        let off = self.offset as u128;
-        if off.checked_add(len as u128).is_none()
-            || off + len as u128 > self.length as u128
-            || addr < self.base
-        {
+        let off = offset as u128;
+        if off + len as u128 > self.length as u128 || addr < self.base {
             return Err(CapError::BoundsViolation { addr, len });
         }
         Ok(addr)
@@ -670,6 +681,31 @@ mod tests {
         let c = cap().set_offset(u64::MAX - 0xFF7).unwrap();
         assert_eq!(c.address(), 0x1000u64.wrapping_add(u64::MAX - 0xFF7));
         assert!(c.check_access(1, Perms::LOAD).is_err());
+    }
+
+    #[test]
+    fn check_access_at_matches_a_moved_copy() {
+        let sealer = Capability::new_mem(0x42, 0x10, Perms::all());
+        let caps = [
+            cap(),
+            cap().inc_offset(0x80).unwrap(),
+            cap().clear_tag(),
+            cap().seal(&sealer).unwrap(),
+            cap().and_perms(Perms::LOAD).unwrap(),
+        ];
+        let offsets = [0, 8, 0xF8, 0xFF, 0x100, u64::MAX - 0xFF7, u64::MAX];
+        for c in caps {
+            for off in offsets {
+                for len in [0, 1, 8, 32] {
+                    for perm in [Perms::LOAD, Perms::STORE | Perms::STORE_CAP] {
+                        let moved = c.set_offset(off).and_then(|m| m.check_access(len, perm));
+                        // A sealed, tagged capability refuses the move with the
+                        // same SealViolation the in-place check reports.
+                        assert_eq!(c.check_access_at(off, len, perm), moved, "{c:?} @ {off:#x}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -79,6 +79,7 @@ impl CompressedCapability {
     /// capabilities, bounds that are not `2^E`-aligned for the exponent the
     /// length demands, or a pointer too far outside the object for the
     /// window arithmetic to recover the bounds.
+    #[inline]
     pub fn compress(cap: &Capability) -> Option<CompressedCapability> {
         if cap.is_sealed() {
             return None;
@@ -115,6 +116,7 @@ impl CompressedCapability {
     }
 
     /// Expands back to the full representation.
+    #[inline]
     pub fn decompress(&self) -> Capability {
         let perms = Perms::from_bits(self.meta as u16);
         let e = ((self.meta >> 16) & 0x3f) as u32;
@@ -144,6 +146,7 @@ impl CompressedCapability {
     /// Expands back to the full representation, overriding the encoded tag
     /// bit with `tag` — the out-of-band tag maintained by tagged memory is
     /// authoritative over whatever bits happen to sit in the slot.
+    #[inline]
     pub fn decompress_with_tag(&self, tag: bool) -> Capability {
         let c = self.decompress();
         Capability::from_raw_parts(
@@ -158,6 +161,7 @@ impl CompressedCapability {
 
     /// The 16-byte little-endian in-memory form: address word then
     /// metadata word.
+    #[inline]
     pub fn to_bytes(&self) -> [u8; CAP128_SIZE_BYTES] {
         let mut out = [0u8; CAP128_SIZE_BYTES];
         out[0..8].copy_from_slice(&self.address.to_le_bytes());
@@ -168,6 +172,7 @@ impl CompressedCapability {
     /// Reconstructs the packed form from its 16 in-memory bytes. Never
     /// fails: untagged bit patterns are legal data, exactly as for the
     /// 256-bit decoder.
+    #[inline]
     pub fn from_bytes(bytes: &[u8; CAP128_SIZE_BYTES]) -> CompressedCapability {
         let mut a = [0u8; 8];
         let mut m = [0u8; 8];
@@ -186,12 +191,10 @@ impl CompressedCapability {
 }
 
 /// The smallest exponent `E` whose 16-bit mantissa can express `length`.
+/// `length >> E` fits the mantissa exactly when `length` has at most
+/// `16 + E` significant bits.
 fn exponent_for_length(length: u64) -> u32 {
-    let mut e = 0u32;
-    while (length >> e) > MANTISSA_MASK {
-        e += 1;
-    }
-    e
+    (u64::BITS - length.leading_zeros()).saturating_sub(MANTISSA_BITS)
 }
 
 /// The `2^E` bound alignment the 128-bit format demands of a region of
@@ -222,6 +225,7 @@ pub struct CompressionStats {
 
 impl CompressionStats {
     /// Records one attempt, returning the compressed form if representable.
+    #[inline]
     pub fn try_compress(&mut self, cap: &Capability) -> Option<CompressedCapability> {
         self.attempts += 1;
         let r = CompressedCapability::compress(cap);
@@ -369,6 +373,24 @@ mod tests {
         assert_eq!(stats.attempts, 2);
         assert_eq!(stats.successes, 1);
         assert!((stats.success_rate() - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn exponent_closed_form_matches_the_search() {
+        let search = |length: u64| {
+            let mut e = 0u32;
+            while (length >> e) > MANTISSA_MASK {
+                e += 1;
+            }
+            e
+        };
+        for shift in 0..64 {
+            for length in [1u64 << shift, (1u64 << shift) - 1, (1u64 << shift) + 1] {
+                assert_eq!(exponent_for_length(length), search(length), "{length:#x}");
+            }
+        }
+        assert_eq!(exponent_for_length(0), 0);
+        assert_eq!(exponent_for_length(u64::MAX), 48);
     }
 
     proptest! {

@@ -33,6 +33,7 @@ pub const CAP_ALIGN: u64 = 32;
 /// let back = decode_capability(&bytes, true);
 /// assert_eq!(back, c);
 /// ```
+#[inline]
 pub fn encode_capability(cap: &Capability) -> [u8; CAP_SIZE_BYTES] {
     let mut out = [0u8; CAP_SIZE_BYTES];
     let word0 = (cap.perms().bits() as u64) | ((cap.otype_raw() as u64) << 32);
@@ -48,11 +49,11 @@ pub fn encode_capability(cap: &Capability) -> [u8; CAP_SIZE_BYTES] {
 ///
 /// Decoding never fails: untagged bit patterns are legal data (e.g. a union
 /// member written as bytes), they merely refuse to be dereferenced.
+#[inline]
 pub fn decode_capability(bytes: &[u8; CAP_SIZE_BYTES], tag: bool) -> Capability {
     let w = |i: usize| {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&bytes[i * 8..i * 8 + 8]);
-        u64::from_le_bytes(b)
+        let word: &[u8; 8] = bytes[i * 8..i * 8 + 8].try_into().expect("8-byte word");
+        u64::from_le_bytes(*word)
     };
     let word0 = w(0);
     Capability::from_raw_parts(

@@ -36,6 +36,11 @@ pub enum MemError {
         /// The store's target address.
         addr: u64,
     },
+    /// A scalar access asked for a width other than 1, 2, 4 or 8 bytes.
+    UnsupportedWidth {
+        /// The requested width in bytes.
+        width: u8,
+    },
 }
 
 impl fmt::Display for MemError {
@@ -56,6 +61,9 @@ impl fmt::Display for MemError {
                     f,
                     "capability stored at {addr:#x} is not representable in 128 bits"
                 )
+            }
+            MemError::UnsupportedWidth { width } => {
+                write!(f, "unsupported access width of {width} bytes")
             }
         }
     }
@@ -79,5 +87,8 @@ mod tests {
         assert!(MemError::OutOfMemory { requested: 9 }
             .to_string()
             .contains('9'));
+        assert!(MemError::UnsupportedWidth { width: 3 }
+            .to_string()
+            .contains("width of 3"));
     }
 }

@@ -63,7 +63,9 @@ const CAP128_ESCAPE: [u8; CAP128_SIZE_BYTES] = [
 #[derive(Clone, Debug)]
 pub struct TaggedMemory {
     bytes: Vec<u8>,
-    tags: Vec<bool>,
+    /// The tag bitmap: granule `g`'s tag is bit `g % 64` of word `g / 64`.
+    /// Bits past the last granule are always clear.
+    tags: Vec<u64>,
     /// One bit per [`DIRTY_CHUNK`]-byte chunk that has been written since
     /// construction or the last [`TaggedMemory::reset`]. Lets `reset` re-zero
     /// only the touched chunks instead of the whole backing store, which is
@@ -77,8 +79,18 @@ pub struct TaggedMemory {
     comp_stats: CompressionStats,
 }
 
-/// Dirty-tracking granularity: 64 KiB chunks (a multiple of [`CAP_ALIGN`]).
+/// Dirty-tracking granularity: 64 KiB chunks (a multiple of [`CAP_ALIGN`],
+/// and of the 64 granules one tag word covers).
 const DIRTY_CHUNK: u64 = 64 * 1024;
+
+/// The low `n <= 64` bits set.
+fn low_mask(n: usize) -> u64 {
+    if n >= 64 {
+        !0
+    } else {
+        (1 << n) - 1
+    }
+}
 
 impl TaggedMemory {
     /// Creates a zeroed memory of `size` bytes (rounded up to a whole number
@@ -118,7 +130,7 @@ impl TaggedMemory {
         let chunks = size.div_ceil(DIRTY_CHUNK);
         TaggedMemory {
             bytes: vec![0; size as usize],
-            tags: vec![false; granules as usize],
+            tags: vec![0; granules.div_ceil(64) as usize],
             dirty: vec![0; chunks.div_ceil(64) as usize],
             format,
             policy,
@@ -151,7 +163,7 @@ impl TaggedMemory {
     /// side-table entries. This is the number behind the paper's
     /// memory-footprint claim for 128-bit capabilities.
     pub fn cap_footprint_bytes(&self) -> u64 {
-        let tagged = self.tags.iter().filter(|&&t| t).count() as u64;
+        let tagged: u64 = self.tags.iter().map(|w| u64::from(w.count_ones())).sum();
         tagged * self.format.stored_bytes() + self.side.len() as u64 * CAP_SIZE_BYTES as u64
     }
 
@@ -164,6 +176,94 @@ impl TaggedMemory {
         let last = (addr + len - 1) / DIRTY_CHUNK;
         for c in first..=last {
             self.dirty[(c / 64) as usize] |= 1 << (c % 64);
+        }
+    }
+
+    /// Marks the chunk containing `addr` dirty: the whole of
+    /// [`TaggedMemory::mark_dirty`] for a write inside one granule.
+    #[inline]
+    fn mark_chunk_dirty(&mut self, addr: u64) {
+        let c = addr / DIRTY_CHUNK;
+        self.dirty[(c / 64) as usize] |= 1 << (c % 64);
+    }
+
+    /// Granule `g`'s tag.
+    #[inline]
+    fn tag(&self, g: usize) -> bool {
+        (self.tags[g / 64] >> (g % 64)) & 1 != 0
+    }
+
+    /// Sets granule `g`'s tag to `tag`.
+    #[inline]
+    fn set_tag(&mut self, g: usize, tag: bool) {
+        let bit = 1u64 << (g % 64);
+        if tag {
+            self.tags[g / 64] |= bit;
+        } else {
+            self.tags[g / 64] &= !bit;
+        }
+    }
+
+    /// Clears the tags of granules `[g0, g1)`, a word at a time.
+    fn clear_tag_range(&mut self, g0: usize, g1: usize) {
+        if g0 >= g1 {
+            return;
+        }
+        let (w0, w1) = (g0 / 64, (g1 - 1) / 64);
+        // Bits at or above g0 in its word, and at or below g1 - 1 in its.
+        let from = !0u64 << (g0 % 64);
+        let upto = !0u64 >> (63 - (g1 - 1) % 64);
+        if w0 == w1 {
+            self.tags[w0] &= !(from & upto);
+        } else {
+            self.tags[w0] &= !from;
+            self.tags[w0 + 1..w1].fill(0);
+            self.tags[w1] &= !upto;
+        }
+    }
+
+    /// The `n <= 64` tags of granules `[g, g + n)`, granule `g` in bit 0.
+    fn tag_bits(&self, g: usize, n: usize) -> u64 {
+        let (w, b) = (g / 64, g % 64);
+        let mut bits = self.tags[w] >> b;
+        if b != 0 && b + n > 64 {
+            bits |= self.tags[w + 1] << (64 - b);
+        }
+        bits & low_mask(n)
+    }
+
+    /// Overwrites the `n <= 64` tags of granules `[g, g + n)` with the low
+    /// `n` bits of `bits`.
+    fn set_tag_bits(&mut self, g: usize, n: usize, bits: u64) {
+        let mask = low_mask(n);
+        let bits = bits & mask;
+        let (w, b) = (g / 64, g % 64);
+        self.tags[w] = (self.tags[w] & !(mask << b)) | (bits << b);
+        if b != 0 && b + n > 64 {
+            let high = mask >> (64 - b);
+            self.tags[w + 1] = (self.tags[w + 1] & !high) | (bits >> (64 - b));
+        }
+    }
+
+    /// Copies the tags of granules `[src, src + n)` onto `[dst, dst + n)`
+    /// with `memmove` semantics, up to 64 granules per step.
+    fn move_tags(&mut self, src: usize, dst: usize, n: usize) {
+        if dst < src {
+            let mut i = 0;
+            while i < n {
+                let k = (n - i).min(64);
+                let bits = self.tag_bits(src + i, k);
+                self.set_tag_bits(dst + i, k, bits);
+                i += k;
+            }
+        } else if dst > src {
+            let mut i = n;
+            while i > 0 {
+                let k = i.min(64);
+                i -= k;
+                let bits = self.tag_bits(src + i, k);
+                self.set_tag_bits(dst + i, k, bits);
+            }
         }
     }
 
@@ -183,9 +283,10 @@ impl TaggedMemory {
                 let start = (w as u64 * 64 + b) * DIRTY_CHUNK;
                 let end = (start + DIRTY_CHUNK).min(self.size());
                 self.bytes[start as usize..end as usize].fill(0);
-                let g0 = (start / CAP_ALIGN) as usize;
-                let g1 = (end.div_ceil(CAP_ALIGN) as usize).min(self.tags.len());
-                self.tags[g0..g1].fill(false);
+                self.clear_tag_range(
+                    (start / CAP_ALIGN) as usize,
+                    end.div_ceil(CAP_ALIGN) as usize,
+                );
             }
         }
     }
@@ -195,6 +296,7 @@ impl TaggedMemory {
         self.bytes.len() as u64
     }
 
+    #[inline]
     fn check(&self, addr: u64, len: u64) -> MemResult<usize> {
         if addr.checked_add(len).is_none_or(|end| end > self.size()) {
             return Err(MemError::OutOfRange { addr, len });
@@ -202,15 +304,15 @@ impl TaggedMemory {
         Ok(addr as usize)
     }
 
+    /// Clears the tag of every granule `[addr, addr+len)` touches. Callers
+    /// have already bounds-checked.
     fn clear_tags_over(&mut self, addr: u64, len: u64) {
         if len == 0 {
             return;
         }
         let first = (addr / CAP_ALIGN) as usize;
-        let last = (((addr + len - 1) / CAP_ALIGN) as usize).min(self.tags.len() - 1);
-        for t in &mut self.tags[first..=last] {
-            *t = false;
-        }
+        let last = ((addr + len - 1) / CAP_ALIGN) as usize;
+        self.clear_tag_range(first, last + 1);
     }
 
     /// Forgets the side-table entries of every granule `[addr, addr+len)`
@@ -241,6 +343,7 @@ impl TaggedMemory {
     /// # Errors
     ///
     /// [`MemError::OutOfRange`] if the range leaves the backing store.
+    #[inline]
     pub fn read_bytes(&self, addr: u64, len: u64) -> MemResult<&[u8]> {
         let a = self.check(addr, len)?;
         Ok(&self.bytes[a..a + len as usize])
@@ -260,11 +363,34 @@ impl TaggedMemory {
         Ok(())
     }
 
+    /// [`TaggedMemory::write_bytes`] for the fixed-width scalar stores. A
+    /// store inside one granule (every aligned one) clears one tag bit and
+    /// sets one dirty bit, since a granule never straddles a dirty chunk.
+    #[inline]
+    fn write_scalar<const N: usize>(&mut self, addr: u64, data: [u8; N]) -> MemResult<()> {
+        let a = self.check(addr, N as u64)?;
+        self.bytes[a..a + N].copy_from_slice(&data);
+        let g = a / CAP_ALIGN as usize;
+        if (a + N - 1) / CAP_ALIGN as usize != g {
+            self.clear_tags_over(addr, N as u64);
+            self.drop_side_over(addr, N as u64);
+            self.mark_dirty(addr, N as u64);
+            return Ok(());
+        }
+        self.set_tag(g, false);
+        if !self.side.is_empty() {
+            self.side.remove(&(g as u64 * CAP_ALIGN));
+        }
+        self.mark_chunk_dirty(addr);
+        Ok(())
+    }
+
     /// Reads one byte.
     ///
     /// # Errors
     ///
     /// [`MemError::OutOfRange`].
+    #[inline]
     pub fn read_u8(&self, addr: u64) -> MemResult<u8> {
         Ok(self.read_bytes(addr, 1)?[0])
     }
@@ -274,6 +400,7 @@ impl TaggedMemory {
     /// # Errors
     ///
     /// [`MemError::OutOfRange`].
+    #[inline]
     pub fn read_u16(&self, addr: u64) -> MemResult<u16> {
         let b = self.read_bytes(addr, 2)?;
         Ok(u16::from_le_bytes([b[0], b[1]]))
@@ -284,6 +411,7 @@ impl TaggedMemory {
     /// # Errors
     ///
     /// [`MemError::OutOfRange`].
+    #[inline]
     pub fn read_u32(&self, addr: u64) -> MemResult<u32> {
         let b = self.read_bytes(addr, 4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
@@ -294,6 +422,7 @@ impl TaggedMemory {
     /// # Errors
     ///
     /// [`MemError::OutOfRange`].
+    #[inline]
     pub fn read_u64(&self, addr: u64) -> MemResult<u64> {
         let b = self.read_bytes(addr, 8)?;
         let mut buf = [0u8; 8];
@@ -306,8 +435,9 @@ impl TaggedMemory {
     /// # Errors
     ///
     /// [`MemError::OutOfRange`].
+    #[inline]
     pub fn write_u8(&mut self, addr: u64, v: u8) -> MemResult<()> {
-        self.write_bytes(addr, &[v])
+        self.write_scalar(addr, [v])
     }
 
     /// Writes a little-endian 16-bit value (clears overlapping tags).
@@ -315,8 +445,9 @@ impl TaggedMemory {
     /// # Errors
     ///
     /// [`MemError::OutOfRange`].
+    #[inline]
     pub fn write_u16(&mut self, addr: u64, v: u16) -> MemResult<()> {
-        self.write_bytes(addr, &v.to_le_bytes())
+        self.write_scalar(addr, v.to_le_bytes())
     }
 
     /// Writes a little-endian 32-bit value (clears overlapping tags).
@@ -324,8 +455,9 @@ impl TaggedMemory {
     /// # Errors
     ///
     /// [`MemError::OutOfRange`].
+    #[inline]
     pub fn write_u32(&mut self, addr: u64, v: u32) -> MemResult<()> {
-        self.write_bytes(addr, &v.to_le_bytes())
+        self.write_scalar(addr, v.to_le_bytes())
     }
 
     /// Writes a little-endian 64-bit value (clears overlapping tags).
@@ -333,8 +465,9 @@ impl TaggedMemory {
     /// # Errors
     ///
     /// [`MemError::OutOfRange`].
+    #[inline]
     pub fn write_u64(&mut self, addr: u64, v: u64) -> MemResult<()> {
-        self.write_bytes(addr, &v.to_le_bytes())
+        self.write_scalar(addr, v.to_le_bytes())
     }
 
     /// Reads a little-endian value of `width` ∈ {1, 2, 4, 8} bytes,
@@ -342,18 +475,16 @@ impl TaggedMemory {
     ///
     /// # Errors
     ///
+    /// [`MemError::UnsupportedWidth`] for any other width, else
     /// [`MemError::OutOfRange`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is not 1, 2, 4 or 8.
+    #[inline]
     pub fn read_uint(&self, addr: u64, width: u8) -> MemResult<u64> {
         match width {
             1 => self.read_u8(addr).map(u64::from),
             2 => self.read_u16(addr).map(u64::from),
             4 => self.read_u32(addr).map(u64::from),
             8 => self.read_u64(addr),
-            _ => panic!("unsupported access width {width}"),
+            _ => Err(MemError::UnsupportedWidth { width }),
         }
     }
 
@@ -361,18 +492,16 @@ impl TaggedMemory {
     ///
     /// # Errors
     ///
+    /// [`MemError::UnsupportedWidth`] for any other width, else
     /// [`MemError::OutOfRange`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is not 1, 2, 4 or 8.
+    #[inline]
     pub fn write_uint(&mut self, addr: u64, v: u64, width: u8) -> MemResult<()> {
         match width {
             1 => self.write_u8(addr, v as u8),
             2 => self.write_u16(addr, v as u16),
             4 => self.write_u32(addr, v as u32),
             8 => self.write_u64(addr, v),
-            _ => panic!("unsupported access width {width}"),
+            _ => Err(MemError::UnsupportedWidth { width }),
         }
     }
 
@@ -382,22 +511,25 @@ impl TaggedMemory {
     /// # Errors
     ///
     /// [`MemError::Misaligned`] or [`MemError::OutOfRange`].
+    #[inline]
     pub fn read_cap(&self, addr: u64) -> MemResult<Capability> {
         if addr % CAP_ALIGN != 0 {
             return Err(MemError::Misaligned { addr });
         }
         let a = self.check(addr, CAP_SIZE_BYTES as u64)?;
-        let tag = self.tags[(addr / CAP_ALIGN) as usize];
+        let tag = self.tag(a / CAP_ALIGN as usize);
         match self.format {
             CapFormat::Cap256 => {
-                let mut buf = [0u8; CAP_SIZE_BYTES];
-                buf.copy_from_slice(&self.bytes[a..a + CAP_SIZE_BYTES]);
-                Ok(decode_capability(&buf, tag))
+                let slot: &[u8; CAP_SIZE_BYTES] = self.bytes[a..a + CAP_SIZE_BYTES]
+                    .try_into()
+                    .expect("granule-sized slot");
+                Ok(decode_capability(slot, tag))
             }
             CapFormat::Cap128 => {
-                let mut buf = [0u8; CAP128_SIZE_BYTES];
-                buf.copy_from_slice(&self.bytes[a..a + CAP128_SIZE_BYTES]);
-                if buf == CAP128_ESCAPE {
+                let slot: &[u8; CAP128_SIZE_BYTES] = self.bytes[a..a + CAP128_SIZE_BYTES]
+                    .try_into()
+                    .expect("half-granule slot");
+                if *slot == CAP128_ESCAPE {
                     if let Some(full) = self.side.get(&addr) {
                         return Ok(decode_capability(full, tag));
                     }
@@ -405,7 +537,7 @@ impl TaggedMemory {
                     // fall through and decode it as a (necessarily
                     // untagged) compressed slot.
                 }
-                Ok(CompressedCapability::from_bytes(&buf).decompress_with_tag(tag))
+                Ok(CompressedCapability::from_bytes(slot).decompress_with_tag(tag))
             }
         }
     }
@@ -418,6 +550,7 @@ impl TaggedMemory {
     /// # Errors
     ///
     /// [`MemError::Misaligned`] or [`MemError::OutOfRange`].
+    #[inline]
     pub fn write_cap(&mut self, addr: u64, cap: &Capability) -> MemResult<()> {
         if addr % CAP_ALIGN != 0 {
             return Err(MemError::Misaligned { addr });
@@ -435,7 +568,11 @@ impl TaggedMemory {
                 };
                 let slot = match z {
                     Some(z) => {
-                        self.side.remove(&addr);
+                        // Retire an escape entry the granule held, without
+                        // hashing the key when the table is empty.
+                        if !self.side.is_empty() {
+                            self.side.remove(&addr);
+                        }
                         z.to_bytes()
                     }
                     None if cap.tag() && self.policy == UnrepresentablePolicy::Trap => {
@@ -452,8 +589,8 @@ impl TaggedMemory {
                 self.bytes[a + CAP128_SIZE_BYTES..a + CAP_SIZE_BYTES].fill(0);
             }
         }
-        self.tags[(addr / CAP_ALIGN) as usize] = cap.tag();
-        self.mark_dirty(addr, CAP_SIZE_BYTES as u64);
+        self.set_tag(a / CAP_ALIGN as usize, cap.tag());
+        self.mark_chunk_dirty(addr);
         Ok(())
     }
 
@@ -464,7 +601,7 @@ impl TaggedMemory {
     /// [`MemError::OutOfRange`].
     pub fn tag_at(&self, addr: u64) -> MemResult<bool> {
         self.check(addr, 1)?;
-        Ok(self.tags[(addr / CAP_ALIGN) as usize])
+        Ok(self.tag((addr / CAP_ALIGN) as usize))
     }
 
     /// Clears the tag of the granule containing `addr` (e.g. the collector
@@ -475,18 +612,24 @@ impl TaggedMemory {
     /// [`MemError::OutOfRange`].
     pub fn clear_tag_at(&mut self, addr: u64) -> MemResult<()> {
         self.check(addr, 1)?;
-        self.tags[(addr / CAP_ALIGN) as usize] = false;
+        self.set_tag((addr / CAP_ALIGN) as usize, false);
         Ok(())
     }
 
     /// Iterates over the addresses of all tagged granules — the precise
     /// root/heap scan the tag-accurate garbage collector performs.
     pub fn tagged_granules(&self) -> impl Iterator<Item = u64> + '_ {
-        self.tags
-            .iter()
-            .enumerate()
-            .filter(|(_, &t)| t)
-            .map(|(i, _)| i as u64 * CAP_ALIGN)
+        (0u64..).zip(&self.tags).flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let b = u64::from(bits.trailing_zeros());
+                bits &= bits - 1;
+                Some((w * 64 + b) * CAP_ALIGN)
+            })
+        })
     }
 
     /// A capability-oblivious copy, as the hardware performs it: bytes are
@@ -506,39 +649,49 @@ impl TaggedMemory {
     pub fn memcpy(&mut self, dst: u64, src: u64, len: u64) -> MemResult<()> {
         let s = self.check(src, len)?;
         let d = self.check(dst, len)?;
-        // Record which destination granules should inherit a set tag, and
-        // (Cap128) which should inherit a side-table escape entry — the
-        // escape slot is only meaningful together with its out-of-line
-        // bytes, so the two travel as one.
-        let mut inherit = Vec::new();
-        let mut side_moves = Vec::new();
-        if dst % CAP_ALIGN == src % CAP_ALIGN {
-            let mut a = src;
-            // First whole granule inside [src, src+len).
-            if a % CAP_ALIGN != 0 {
-                a = (a / CAP_ALIGN + 1) * CAP_ALIGN;
-            }
-            while a + CAP_ALIGN <= src + len {
-                if self.tags[(a / CAP_ALIGN) as usize] {
-                    inherit.push(dst + (a - src));
-                }
-                if !self.side.is_empty() {
-                    if let Some(full) = self.side.get(&a) {
-                        side_moves.push((dst + (a - src), *full));
-                    }
-                }
-                a += CAP_ALIGN;
-            }
+        if len == 0 {
+            return Ok(());
         }
+        // The whole source granules `[first, first + whole * 32)` land on
+        // whole destination granules only when both ends share alignment.
+        let first = src.next_multiple_of(CAP_ALIGN);
+        let whole = if dst % CAP_ALIGN == src % CAP_ALIGN {
+            (src + len).saturating_sub(first) / CAP_ALIGN
+        } else {
+            0
+        };
+        let moved_to = first - src + dst;
+        // (Cap128) An escape slot is only meaningful together with its
+        // out-of-line bytes, so the side-table entries of whole granules
+        // travel with their tags. The table is almost always empty.
+        let side_moves: Vec<(u64, [u8; CAP_SIZE_BYTES])> = if whole == 0 {
+            Vec::new()
+        } else {
+            let end = first + whole * CAP_ALIGN;
+            self.side
+                .iter()
+                .filter(|(&g, _)| g >= first && g < end)
+                .map(|(&g, full)| (g - first + moved_to, *full))
+                .collect()
+        };
         self.bytes.copy_within(s..s + len as usize, d);
-        self.clear_tags_over(dst, len);
+        // Whole granules carry their source tags (moved before the edges
+        // are cleared, since the ranges may overlap); every other touched
+        // destination granule loses its tag.
+        let (d_first, d_end) = (
+            d / CAP_ALIGN as usize,
+            (d + len as usize - 1) / CAP_ALIGN as usize + 1,
+        );
+        let (m0, n) = ((moved_to / CAP_ALIGN) as usize, whole as usize);
+        if n == 0 {
+            self.clear_tag_range(d_first, d_end);
+        } else {
+            self.move_tags((first / CAP_ALIGN) as usize, m0, n);
+            self.clear_tag_range(d_first, m0);
+            self.clear_tag_range(m0 + n, d_end);
+        }
         self.drop_side_over(dst, len);
-        for a in inherit {
-            self.tags[(a / CAP_ALIGN) as usize] = true;
-        }
-        for (a, full) in side_moves {
-            self.side.insert(a, full);
-        }
+        self.side.extend(side_moves);
         self.mark_dirty(dst, len);
         Ok(())
     }
@@ -576,12 +729,13 @@ impl TaggedMemory {
                 bits &= bits - 1;
                 let start = (w as u64 * 64 + b) * DIRTY_CHUNK;
                 let end = (start + DIRTY_CHUNK).min(self.size());
-                let g0 = (start / CAP_ALIGN) as usize;
-                let g1 = (end.div_ceil(CAP_ALIGN) as usize).min(self.tags.len());
+                // A chunk spans whole tag words: 2048 granules.
+                let w0 = (start / CAP_ALIGN / 64) as usize;
+                let w1 = end.div_ceil(CAP_ALIGN).div_ceil(64) as usize;
                 warm.push(WarmChunk {
                     start,
                     bytes: self.bytes[start as usize..end as usize].to_vec(),
-                    tags: self.tags[g0..g1].to_vec(),
+                    tags: self.tags[w0..w1].to_vec(),
                 });
             }
         }
@@ -600,13 +754,13 @@ impl TaggedMemory {
 }
 
 /// One dirty chunk captured by [`TaggedMemory::snapshot`]: its byte image
-/// and the tags of the granules it covers. Only the last chunk of a memory
-/// may be short.
+/// and the tag-bitmap words of the granules it covers. Only the last chunk
+/// of a memory may be short.
 #[derive(Debug)]
 struct WarmChunk {
     start: u64,
     bytes: Vec<u8>,
-    tags: Vec<bool>,
+    tags: Vec<u64>,
 }
 
 #[derive(Debug)]
@@ -650,8 +804,8 @@ impl MemSnapshot {
         for chunk in &s.warm {
             let a = chunk.start as usize;
             m.bytes[a..a + chunk.bytes.len()].copy_from_slice(&chunk.bytes);
-            let g0 = (chunk.start / CAP_ALIGN) as usize;
-            m.tags[g0..g0 + chunk.tags.len()].copy_from_slice(&chunk.tags);
+            let w0 = (chunk.start / CAP_ALIGN / 64) as usize;
+            m.tags[w0..w0 + chunk.tags.len()].copy_from_slice(&chunk.tags);
         }
         m.dirty.copy_from_slice(&s.dirty);
         m.side = s.side.clone();
@@ -898,6 +1052,64 @@ mod tests {
         m.fill(0x40, 64, 0xAA).unwrap();
         assert!(!m.tag_at(0x40).unwrap());
         assert_eq!(m.read_u8(0x7F).unwrap(), 0xAA);
+    }
+
+    #[test]
+    fn widths_outside_the_isa_are_typed_errors() {
+        let mut m = mem();
+        for w in [0u8, 3, 5, 16, u8::MAX] {
+            assert_eq!(
+                m.read_uint(64, w),
+                Err(MemError::UnsupportedWidth { width: w })
+            );
+            assert_eq!(
+                m.write_uint(64, 0xFF, w),
+                Err(MemError::UnsupportedWidth { width: w })
+            );
+        }
+        // Nothing was written.
+        assert_eq!(m.read_u64(64).unwrap(), 0);
+    }
+
+    /// The word-at-a-time tag helpers against a one-`bool`-per-granule
+    /// model, at every bit offset around the word seams.
+    #[test]
+    fn tag_word_helpers_match_a_bool_model() {
+        const G: usize = 192;
+        let pattern: Vec<bool> = (0..G).map(|g| (g * 7 + g / 5) % 3 == 0).collect();
+        let load = |bits: &[bool]| {
+            let mut m = TaggedMemory::new(G as u64 * CAP_ALIGN);
+            for (g, &t) in bits.iter().enumerate() {
+                m.set_tag(g, t);
+            }
+            m
+        };
+        let read = |m: &TaggedMemory| (0..G).map(|g| m.tag(g)).collect::<Vec<_>>();
+        let lens = [0, 1, 2, 31, 63, 64, 65, 66, 127, 128, 129];
+        for src in 0..G {
+            for dst in [0, 1, 2, 33, 62, 63, 64, 65, 66, 100, 127, 128] {
+                for n in lens {
+                    if src + n > G || dst + n > G {
+                        continue;
+                    }
+                    let mut m = load(&pattern);
+                    m.move_tags(src, dst, n);
+                    let mut want = pattern.clone();
+                    want.copy_within(src..src + n, dst);
+                    assert_eq!(read(&m), want, "move {src} -> {dst} x{n}");
+                }
+            }
+            for n in lens {
+                if src + n > G {
+                    continue;
+                }
+                let mut m = load(&pattern);
+                m.clear_tag_range(src, src + n);
+                let mut want = pattern.clone();
+                want[src..src + n].fill(false);
+                assert_eq!(read(&m), want, "clear {src} x{n}");
+            }
+        }
     }
 
     #[test]

@@ -385,7 +385,11 @@ impl BlockRepr for InterpBody {
 
 /// One op's handler: pre-bound at compile time, reading pre-extracted
 /// operands from the [`TOp`] instead of destructuring a [`FlatOp`].
-type Handler = fn(&mut Vm, &TOp, u64) -> Result<u64, TrapCause>;
+/// Returns the next pc, or `None` with the cause written to the last
+/// argument: an `Option<u64>` comes back in registers, where a
+/// `Result<u64, TrapCause>` would make a round trip through memory on
+/// every op.
+type Handler = fn(&mut Vm, &TOp, u64, &mut Option<TrapCause>) -> Option<u64>;
 
 /// A templated op: handler pointer plus its operands, unpacked once at
 /// block compile time. `a`/`b`/`c` are the destination and source
@@ -415,44 +419,58 @@ impl BlockRepr for TemplateBody {
 
     fn exec(&self, vm: &mut Vm, entry: u64) -> Result<u64, (u64, TrapCause)> {
         let mut cur = entry;
+        let mut trap = None;
         for t in self.0.iter() {
-            match (t.run)(vm, t, cur) {
-                Ok(next) => cur = next,
-                Err(cause) => return Err((cur, cause)),
+            match (t.run)(vm, t, cur, &mut trap) {
+                Some(next) => cur = next,
+                None => return Err((cur, trap.expect("a failing handler names its cause"))),
             }
         }
         Ok(cur)
     }
 }
 
+/// A handler's verdict from a `Result`: the next pc, or `None` with the
+/// cause parked in `trap`.
+#[inline(always)]
+fn settle(r: Result<u64, TrapCause>, trap: &mut Option<TrapCause>) -> Option<u64> {
+    match r {
+        Ok(next) => Some(next),
+        Err(cause) => {
+            *trap = Some(cause);
+            None
+        }
+    }
+}
+
 macro_rules! alu2 {
     ($name:ident, |$x:ident, $y:ident| $v:expr) => {
-        fn $name(vm: &mut Vm, t: &TOp, pc: u64) -> Result<u64, TrapCause> {
+        fn $name(vm: &mut Vm, t: &TOp, pc: u64, _: &mut Option<TrapCause>) -> Option<u64> {
             let $x = vm.reg(t.b);
             let $y = vm.reg(t.c);
             vm.set_reg(t.a, $v);
-            Ok(pc + 1)
+            Some(pc + 1)
         }
     };
 }
 
 macro_rules! alu_imm {
     ($name:ident, |$x:ident, $i:ident| $v:expr) => {
-        fn $name(vm: &mut Vm, t: &TOp, pc: u64) -> Result<u64, TrapCause> {
+        fn $name(vm: &mut Vm, t: &TOp, pc: u64, _: &mut Option<TrapCause>) -> Option<u64> {
             let $x = vm.reg(t.b);
             let $i = t.imm;
             vm.set_reg(t.a, $v);
-            Ok(pc + 1)
+            Some(pc + 1)
         }
     };
 }
 
 macro_rules! cond_branch {
     ($name:ident, |$x:ident, $y:ident| $taken:expr) => {
-        fn $name(vm: &mut Vm, t: &TOp, pc: u64) -> Result<u64, TrapCause> {
+        fn $name(vm: &mut Vm, t: &TOp, pc: u64, _: &mut Option<TrapCause>) -> Option<u64> {
             let $x = vm.reg(t.b);
             let $y = vm.reg(t.c);
-            Ok(if $taken { t.target } else { pc + 1 })
+            Some(if $taken { t.target } else { pc + 1 })
         }
     };
 }
@@ -485,79 +503,104 @@ cond_branch!(h_bgtz, |a, _b| a as i64 > 0);
 cond_branch!(h_bltz, |a, _b| (a as i64) < 0);
 cond_branch!(h_bgez, |a, _b| a as i64 >= 0);
 
-fn h_nop(_vm: &mut Vm, _t: &TOp, pc: u64) -> Result<u64, TrapCause> {
-    Ok(pc + 1)
+fn h_nop(_vm: &mut Vm, _t: &TOp, pc: u64, _: &mut Option<TrapCause>) -> Option<u64> {
+    Some(pc + 1)
 }
 
-fn h_li(vm: &mut Vm, t: &TOp, pc: u64) -> Result<u64, TrapCause> {
+fn h_li(vm: &mut Vm, t: &TOp, pc: u64, _: &mut Option<TrapCause>) -> Option<u64> {
     vm.set_reg(t.a, t.imm as u64);
-    Ok(pc + 1)
+    Some(pc + 1)
 }
 
-fn h_add(vm: &mut Vm, t: &TOp, pc: u64) -> Result<u64, TrapCause> {
-    let v = (vm.reg(t.b) as i64)
-        .checked_add(vm.reg(t.c) as i64)
-        .ok_or(TrapCause::IntegerOverflow)?;
-    vm.set_reg(t.a, v as u64);
-    Ok(pc + 1)
+/// Trapping signed arithmetic (§3.1.1): writes `v`, or traps on the
+/// overflow `None` stands for.
+#[inline(always)]
+fn overflow_checked(
+    vm: &mut Vm,
+    t: &TOp,
+    pc: u64,
+    v: Option<i64>,
+    trap: &mut Option<TrapCause>,
+) -> Option<u64> {
+    let r = v.ok_or(TrapCause::IntegerOverflow).map(|v| {
+        vm.set_reg(t.a, v as u64);
+        pc + 1
+    });
+    settle(r, trap)
 }
 
-fn h_sub(vm: &mut Vm, t: &TOp, pc: u64) -> Result<u64, TrapCause> {
-    let v = (vm.reg(t.b) as i64)
-        .checked_sub(vm.reg(t.c) as i64)
-        .ok_or(TrapCause::IntegerOverflow)?;
-    vm.set_reg(t.a, v as u64);
-    Ok(pc + 1)
+fn h_add(vm: &mut Vm, t: &TOp, pc: u64, trap: &mut Option<TrapCause>) -> Option<u64> {
+    let v = (vm.reg(t.b) as i64).checked_add(vm.reg(t.c) as i64);
+    overflow_checked(vm, t, pc, v, trap)
 }
 
-fn h_addi(vm: &mut Vm, t: &TOp, pc: u64) -> Result<u64, TrapCause> {
-    let v = (vm.reg(t.b) as i64)
-        .checked_add(t.imm)
-        .ok_or(TrapCause::IntegerOverflow)?;
-    vm.set_reg(t.a, v as u64);
-    Ok(pc + 1)
+fn h_sub(vm: &mut Vm, t: &TOp, pc: u64, trap: &mut Option<TrapCause>) -> Option<u64> {
+    let v = (vm.reg(t.b) as i64).checked_sub(vm.reg(t.c) as i64);
+    overflow_checked(vm, t, pc, v, trap)
 }
 
-fn h_j(_vm: &mut Vm, t: &TOp, _pc: u64) -> Result<u64, TrapCause> {
-    Ok(t.target)
+fn h_addi(vm: &mut Vm, t: &TOp, pc: u64, trap: &mut Option<TrapCause>) -> Option<u64> {
+    let v = (vm.reg(t.b) as i64).checked_add(t.imm);
+    overflow_checked(vm, t, pc, v, trap)
 }
 
-fn h_jal(vm: &mut Vm, t: &TOp, pc: u64) -> Result<u64, TrapCause> {
+fn h_j(_vm: &mut Vm, t: &TOp, _pc: u64, _: &mut Option<TrapCause>) -> Option<u64> {
+    Some(t.target)
+}
+
+fn h_jal(vm: &mut Vm, t: &TOp, pc: u64, _: &mut Option<TrapCause>) -> Option<u64> {
     vm.set_reg(cheri_isa::RA, pc + 1);
-    Ok(t.target)
+    Some(t.target)
 }
 
-fn h_jr(vm: &mut Vm, t: &TOp, _pc: u64) -> Result<u64, TrapCause> {
-    Ok(vm.reg(t.b))
+fn h_jr(vm: &mut Vm, t: &TOp, _pc: u64, _: &mut Option<TrapCause>) -> Option<u64> {
+    Some(vm.reg(t.b))
 }
 
-fn h_jalr(vm: &mut Vm, t: &TOp, pc: u64) -> Result<u64, TrapCause> {
+fn h_jalr(vm: &mut Vm, t: &TOp, pc: u64, _: &mut Option<TrapCause>) -> Option<u64> {
     // Read the target before writing the link: `jalr r, r` must jump to
     // the register's old value.
     let target = vm.reg(t.b);
     vm.set_reg(t.a, pc + 1);
-    Ok(target)
+    Some(target)
 }
 
 fn h_load<const SIGNED: bool, const CAP: bool>(
     vm: &mut Vm,
     t: &TOp,
     pc: u64,
-) -> Result<u64, TrapCause> {
-    vm.exec_load(t.a, t.b, t.imm as i32, t.c, SIGNED, CAP)?;
-    Ok(pc + 1)
+    trap: &mut Option<TrapCause>,
+) -> Option<u64> {
+    let r = vm.exec_load(t.a, t.b, t.imm as i32, t.c, SIGNED, CAP);
+    settle(r.map(|()| pc + 1), trap)
 }
 
-fn h_store<const CAP: bool>(vm: &mut Vm, t: &TOp, pc: u64) -> Result<u64, TrapCause> {
-    vm.exec_store(t.a, t.b, t.imm as i32, t.c, CAP)?;
-    Ok(pc + 1)
+fn h_store<const CAP: bool>(
+    vm: &mut Vm,
+    t: &TOp,
+    pc: u64,
+    trap: &mut Option<TrapCause>,
+) -> Option<u64> {
+    let r = vm.exec_store(t.a, t.b, t.imm as i32, t.c, CAP);
+    settle(r.map(|()| pc + 1), trap)
+}
+
+fn h_clc(vm: &mut Vm, t: &TOp, pc: u64, trap: &mut Option<TrapCause>) -> Option<u64> {
+    let r = vm.exec_clc(t.a, t.b, t.imm as i32);
+    settle(r.map(|()| pc + 1), trap)
+}
+
+fn h_csc(vm: &mut Vm, t: &TOp, pc: u64, trap: &mut Option<TrapCause>) -> Option<u64> {
+    let r = vm.exec_csc(t.a, t.b, t.imm as i32);
+    settle(r.map(|()| pc + 1), trap)
 }
 
 fn h_fused<const SIGNED: bool, const IMM: bool, const IF: bool>(
     vm: &mut Vm,
     t: &TOp,
     pc: u64,
-) -> Result<u64, TrapCause> {
+    _: &mut Option<TrapCause>,
+) -> Option<u64> {
     let a = vm.reg(t.b);
     let v = if IMM {
         if SIGNED {
@@ -574,14 +617,14 @@ fn h_fused<const SIGNED: bool, const IMM: bool, const IF: bool>(
         }
     };
     vm.set_reg(t.a, v);
-    Ok(if (v != 0) == IF { t.target } else { pc + 2 })
+    Some(if (v != 0) == IF { t.target } else { pc + 2 })
 }
 
-/// The long tail — capability ops and `Other` — goes through the
-/// interpreter's own arm, which keeps every capability/trap decision in
-/// exactly one place.
-fn h_flat(vm: &mut Vm, t: &TOp, pc: u64) -> Result<u64, TrapCause> {
-    vm.exec_flat(&t.flat, pc)
+/// The long tail — the remaining capability ops and `Other` — goes
+/// through the interpreter's own arm, which keeps every capability/trap
+/// decision in exactly one place.
+fn h_flat(vm: &mut Vm, t: &TOp, pc: u64, trap: &mut Option<TrapCause>) -> Option<u64> {
+    settle(vm.exec_flat(&t.flat, pc), trap)
 }
 
 /// Pre-binds one micro-op to its handler, extracting operands once.
@@ -697,7 +740,9 @@ fn bind(op: &FlatOp) -> TOp {
             };
             set!(run, rv, base, width, i64::from(off), 0);
         }
-        // Capability ops and the `Other` long tail keep `h_flat`.
+        FlatOp::Clc { cd, cb, off } => set!(h_clc, cd, cb, 0, i64::from(off), 0),
+        FlatOp::Csc { cs, cb, off } => set!(h_csc, cs, cb, 0, i64::from(off), 0),
+        // The other capability ops and the `Other` long tail keep `h_flat`.
         _ => {}
     }
     t

@@ -8,7 +8,7 @@ use crate::trap::{TrapCause, VmTrap};
 use cheri_cache::{CacheStats, Hierarchy, SharedHierarchy};
 #[cfg(test)]
 use cheri_cap::CapError;
-use cheri_cap::{ptr_cmp, CapFormat, Capability, CompressionStats, Perms};
+use cheri_cap::{ptr_cmp, CapFormat, Capability, CompressionStats, Perms, CAP_SIZE_BYTES};
 use cheri_isa::{CmpOp, Instr, Op, Program, DDC};
 use cheri_mem::{Allocator, MemSnapshot, TaggedMemory};
 use std::cmp::Ordering;
@@ -484,6 +484,7 @@ impl Vm {
         self.run_end = 0;
     }
 
+    #[inline]
     fn charge_mem(&mut self, addr: u64, len: u64, write: bool) {
         match &mut self.cache {
             Some(h) => {
@@ -520,22 +521,25 @@ impl Vm {
     }
 
     /// Resolves a legacy (DDC-relative) access.
+    #[inline]
     fn legacy_addr(&self, rs: u8, imm: i32, len: u64, perm: Perms) -> Result<u64, TrapCause> {
         let ptr = self.reg(rs).wrapping_add(imm as i64 as u64);
         if ptr < NULL_GUARD_SIZE {
             return Err(TrapCause::NullGuard { addr: ptr });
         }
-        let ddc = self.caps[DDC as usize];
-        let c = ddc.set_offset(ptr)?;
-        Ok(c.check_access(len, perm)?)
+        Ok(self.caps[DDC as usize].check_access_at(ptr, len, perm)?)
     }
 
-    /// Resolves a capability-relative access.
+    /// Resolves a capability-relative access: `cb` moved by `imm`, checked
+    /// in place (the checks and causes of `inc_offset` + `check_access`).
+    #[inline]
     fn cap_addr(&self, cb: u8, imm: i32, len: u64, perm: Perms) -> Result<u64, TrapCause> {
-        let c = self.caps[cb as usize].inc_offset(imm as i64)?;
-        Ok(c.check_access(len, perm)?)
+        let c = &self.caps[cb as usize];
+        let offset = c.offset().wrapping_add(imm as i64 as u64);
+        Ok(c.check_access_at(offset, len, perm)?)
     }
 
+    #[inline]
     fn load(&mut self, addr: u64, width: u8, signed: bool) -> Result<u64, TrapCause> {
         let raw = self.mem.read_uint(addr, width)?;
         self.charge_mem(addr, width as u64, false);
@@ -551,6 +555,7 @@ impl Vm {
         })
     }
 
+    #[inline]
     fn store(&mut self, addr: u64, width: u8, v: u64) -> Result<(), TrapCause> {
         self.mem.write_uint(addr, v, width)?;
         self.charge_mem(addr, width as u64, true);
@@ -719,23 +724,8 @@ impl Vm {
             Op::Csw => self.exec_store(rd, rs, imm, 4, true).map(|_| next),
             Op::Csd => self.exec_store(rd, rs, imm, 8, true).map(|_| next),
 
-            Op::Clc => {
-                // The full 32-byte granule stays reserved in either format
-                // (bounds check); only the stored bytes travel through the
-                // cache — half as many in Cap128 mode.
-                let addr = self.cap_addr(rs, imm, 32, Perms::LOAD | Perms::LOAD_CAP)?;
-                let c = self.mem.read_cap(addr)?;
-                self.charge_mem(addr, self.cfg.cap_format.stored_bytes(), false);
-                self.caps[rd as usize] = c;
-                Ok(next)
-            }
-            Op::Csc => {
-                let addr = self.cap_addr(rs, imm, 32, Perms::STORE | Perms::STORE_CAP)?;
-                let c = self.caps[rd as usize];
-                self.mem.write_cap(addr, &c)?;
-                self.charge_mem(addr, self.cfg.cap_format.stored_bytes(), true);
-                Ok(next)
-            }
+            Op::Clc => self.exec_clc(rd, rs, imm).map(|()| next),
+            Op::Csc => self.exec_csc(rd, rs, imm).map(|()| next),
 
             Op::CIncBase => {
                 self.caps[rd as usize] = self.caps[rs as usize].inc_base(self.reg(rt))?;
@@ -1010,20 +1000,8 @@ impl Vm {
             } => self
                 .exec_store(rv, base, off, width, via_cap)
                 .map(|()| next),
-            FlatOp::Clc { cd, cb, off } => {
-                let addr = self.cap_addr(cb, off, 32, Perms::LOAD | Perms::LOAD_CAP)?;
-                let c = self.mem.read_cap(addr)?;
-                self.charge_mem(addr, self.cfg.cap_format.stored_bytes(), false);
-                self.caps[cd as usize] = c;
-                Ok(next)
-            }
-            FlatOp::Csc { cs, cb, off } => {
-                let addr = self.cap_addr(cb, off, 32, Perms::STORE | Perms::STORE_CAP)?;
-                let c = self.caps[cs as usize];
-                self.mem.write_cap(addr, &c)?;
-                self.charge_mem(addr, self.cfg.cap_format.stored_bytes(), true);
-                Ok(next)
-            }
+            FlatOp::Clc { cd, cb, off } => self.exec_clc(cd, cb, off).map(|()| next),
+            FlatOp::Csc { cs, cb, off } => self.exec_csc(cs, cb, off).map(|()| next),
             FlatOp::CIncOffset { cd, cb, rt } => {
                 self.caps[cd as usize] = self.caps[cb as usize].inc_offset(self.reg(rt) as i64)?;
                 Ok(next)
@@ -1075,6 +1053,40 @@ impl Vm {
         }
     }
 
+    /// `CLC cd, off(cb)`: loads the capability at `cb + off` into `cd`.
+    /// The full 32-byte granule stays reserved in either format (bounds
+    /// check); only the stored bytes travel through the cache — half as
+    /// many in Cap128 mode.
+    #[inline]
+    pub(crate) fn exec_clc(&mut self, cd: u8, cb: u8, off: i32) -> Result<(), TrapCause> {
+        let addr = self.cap_addr(
+            cb,
+            off,
+            CAP_SIZE_BYTES as u64,
+            Perms::LOAD | Perms::LOAD_CAP,
+        )?;
+        let c = self.mem.read_cap(addr)?;
+        self.charge_mem(addr, self.cfg.cap_format.stored_bytes(), false);
+        self.caps[cd as usize] = c;
+        Ok(())
+    }
+
+    /// `CSC cs, off(cb)`: stores capability register `cs` at `cb + off`,
+    /// with its tag.
+    #[inline]
+    pub(crate) fn exec_csc(&mut self, cs: u8, cb: u8, off: i32) -> Result<(), TrapCause> {
+        let addr = self.cap_addr(
+            cb,
+            off,
+            CAP_SIZE_BYTES as u64,
+            Perms::STORE | Perms::STORE_CAP,
+        )?;
+        self.mem.write_cap(addr, &self.caps[cs as usize])?;
+        self.charge_mem(addr, self.cfg.cap_format.stored_bytes(), true);
+        Ok(())
+    }
+
+    #[inline]
     pub(crate) fn exec_load(
         &mut self,
         rd: u8,
@@ -1094,6 +1106,7 @@ impl Vm {
         Ok(())
     }
 
+    #[inline]
     pub(crate) fn exec_store(
         &mut self,
         rv: u8,

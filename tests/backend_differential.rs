@@ -375,6 +375,188 @@ fn assembly_traps_identical_across_matrix() {
     }
 }
 
+/// Hand-built `CLC`/`CSC` blocks that trap on every cause the capability
+/// load/store path checks, in the order it checks them: untagged, sealed,
+/// missing `LOAD_CAP`/`STORE_CAP`, below and above bounds, misaligned, and
+/// (Cap128 under the `Trap` policy) unrepresentable. Each trap sits
+/// mid-block behind a register write; every matrix cell must stop at the
+/// same pc with the same cause, registers, capability registers and
+/// cycles as the reference oracle.
+#[test]
+fn capability_load_store_traps_identical_across_matrix() {
+    use cheri::cap::{CapError, Perms};
+    use cheri::isa::Instr;
+    use cheri::mem::MemError;
+    use cheri::vm::{TrapCause, UnrepresentablePolicy};
+
+    // c11 is the stack capability, its cursor 64 bytes below the top;
+    // c0 is the default data capability over all of memory.
+    let clc = |cb: u8, off: i32| Instr::new(Op::Clc, 14, cb, 0, off);
+    let csc = |cs: u8, cb: u8, off: i32| Instr::new(Op::Csc, cs, cb, 0, off);
+    let no_load_cap = (Perms::data().bits() & !Perms::LOAD_CAP.bits()) as i32;
+    let no_store_cap = (Perms::data().bits() & !Perms::STORE_CAP.bits()) as i32;
+    let untagged = vec![Instr::r3(Op::CClearTag, 12, 11, 0)];
+    let sealed = vec![
+        Instr::li(9, 5),
+        Instr::cmod(Op::CSetOffset, 13, 0, 9),
+        Instr::r3(Op::CSeal, 12, 11, 13),
+    ];
+    let at_base = vec![Instr::cmod(Op::CSetOffset, 12, 11, 0)];
+    let narrowed = vec![Instr::li(9, 64), Instr::cmod(Op::CSetBounds, 12, 11, 9)];
+    // Base 0x10001 with a length that needs a non-zero exponent.
+    let unrepresentable = vec![
+        Instr::li(9, 0x1_0001),
+        Instr::cmod(Op::CSetOffset, 12, 0, 9),
+        Instr::li(10, 0x2_0000),
+        Instr::cmod(Op::CSetBounds, 12, 12, 10),
+    ];
+    let tag = |c: &TrapCause| *c == TrapCause::Capability(CapError::TagViolation);
+    let seal = |c: &TrapCause| *c == TrapCause::Capability(CapError::SealViolation);
+    let bounds = |c: &TrapCause| {
+        matches!(
+            c,
+            TrapCause::Capability(CapError::BoundsViolation { len: 32, .. })
+        )
+    };
+    let load_perm = |c: &TrapCause| {
+        *c == TrapCause::Capability(CapError::PermissionViolation(Perms::LOAD | Perms::LOAD_CAP))
+    };
+    let store_perm = |c: &TrapCause| {
+        *c == TrapCause::Capability(CapError::PermissionViolation(
+            Perms::STORE | Perms::STORE_CAP,
+        ))
+    };
+    let misaligned = |c: &TrapCause| matches!(c, TrapCause::Memory(MemError::Misaligned { .. }));
+    let unrep = |c: &TrapCause| matches!(c, TrapCause::Memory(MemError::Unrepresentable { .. }));
+    type Expect = fn(&TrapCause) -> bool;
+    let cases: Vec<(&str, Vec<Instr>, Instr, Expect)> = vec![
+        ("clc untagged", untagged.clone(), clc(12, -32), tag),
+        ("csc untagged", untagged, csc(11, 12, -32), tag),
+        ("clc sealed", sealed.clone(), clc(12, -32), seal),
+        ("csc sealed", sealed, csc(11, 12, -32), seal),
+        (
+            "clc without LOAD_CAP",
+            vec![
+                Instr::li(9, no_load_cap),
+                Instr::cmod(Op::CAndPerm, 12, 11, 9),
+            ],
+            clc(12, -32),
+            load_perm,
+        ),
+        (
+            "csc without STORE_CAP",
+            vec![
+                Instr::li(9, no_store_cap),
+                Instr::cmod(Op::CAndPerm, 12, 11, 9),
+            ],
+            csc(11, 12, -32),
+            store_perm,
+        ),
+        ("clc below bounds", at_base.clone(), clc(12, -32), bounds),
+        ("csc below bounds", at_base, csc(11, 12, -32), bounds),
+        ("clc above bounds", narrowed.clone(), clc(12, 64), bounds),
+        ("csc above bounds", narrowed, csc(11, 12, 64), bounds),
+        ("clc misaligned", Vec::new(), clc(11, -24), misaligned),
+        ("csc misaligned", Vec::new(), csc(11, 11, -24), misaligned),
+        (
+            "csc unrepresentable",
+            unrepresentable,
+            csc(12, 11, -32),
+            unrep,
+        ),
+        // Two faults at once: the earlier check in the order wins.
+        (
+            "clc untagged, sealed and above bounds",
+            vec![
+                Instr::li(9, 5),
+                Instr::cmod(Op::CSetOffset, 13, 0, 9),
+                Instr::r3(Op::CSeal, 12, 11, 13),
+                Instr::r3(Op::CClearTag, 12, 12, 0),
+            ],
+            clc(12, 64),
+            tag,
+        ),
+        (
+            "csc sealed, without STORE_CAP and above bounds",
+            vec![
+                Instr::li(9, no_store_cap),
+                Instr::cmod(Op::CAndPerm, 12, 11, 9),
+                Instr::li(9, 5),
+                Instr::cmod(Op::CSetOffset, 13, 0, 9),
+                Instr::r3(Op::CSeal, 12, 12, 13),
+            ],
+            csc(11, 12, 64),
+            seal,
+        ),
+        (
+            "clc without LOAD_CAP, below bounds and misaligned",
+            vec![
+                Instr::li(9, no_load_cap),
+                Instr::cmod(Op::CAndPerm, 12, 11, 9),
+            ],
+            clc(12, -(1 << 21) - 8),
+            load_perm,
+        ),
+        (
+            "csc above bounds and misaligned",
+            Vec::new(),
+            csc(11, 11, 40),
+            bounds,
+        ),
+    ];
+    for (name, setup, op, expect) in cases {
+        let trap_pc = setup.len() as u64 + 1;
+        let mut p = Program::new();
+        p.code = setup;
+        p.code.extend([
+            Instr::li(8, 77),
+            op,
+            Instr::li(8, 78),
+            Instr::li(4, 0),
+            Instr::syscall(0),
+        ]);
+        for format in [CapFormat::Cap256, CapFormat::Cap128] {
+            for policy in [
+                UnrepresentablePolicy::SideTable,
+                UnrepresentablePolicy::Trap,
+            ] {
+                let base = VmConfig::fpga()
+                    .with_cap_format(format)
+                    .with_cap128_policy(policy);
+                let run = |cfg: VmConfig| {
+                    let mut vm = Vm::new(p.clone(), cfg);
+                    let outcome = vm.run(1_000).map(|s| s.code);
+                    let caps: Vec<_> = (0..32).map(|c| vm.cap(c)).collect();
+                    (snapshot(&vm, outcome), caps)
+                };
+                let oracle = run(base
+                    .with_backend(BackendKind::Reference)
+                    .with_opt_level(OptLevel::None));
+                // Only the strict Cap128 store refuses an unrepresentable
+                // capability; everywhere else that store succeeds.
+                let must_trap = !name.ends_with("unrepresentable")
+                    || (format, policy) == (CapFormat::Cap128, UnrepresentablePolicy::Trap);
+                match oracle.0.outcome {
+                    Err(t) if must_trap => {
+                        assert_eq!(t.pc, trap_pc, "{name}: trap at the wrong pc");
+                        assert!(expect(&t.cause), "{name}: unexpected cause {:?}", t.cause);
+                        assert_eq!(oracle.0.regs[8], 77, "{name}: the block ran past its trap");
+                    }
+                    Ok(0) if !must_trap => {}
+                    other => panic!("{name}/{format:?}/{policy:?}: {other:?}"),
+                }
+                for (backend, opt) in matrix() {
+                    let got = run(base.with_backend(backend).with_opt_level(opt));
+                    assert_eq!(
+                        got, oracle,
+                        "{name}/{format:?}/{policy:?}/{backend:?}/{opt:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// The transaction-era identity contract: the serialized knobs
 /// (`mshrs = 1`, no store buffer, prefetch off, fetch charging off) are
 /// the defaults and spelling them out explicitly changes no observable
