@@ -20,7 +20,9 @@
 //!
 //! Not supported (not needed by the corpus): the preprocessor (lines
 //! starting with `#` are skipped), floating point, bitfields, varargs,
-//! `switch`, `goto`, and function pointers.
+//! `switch`, `goto`, and function pointers. Statements and expressions
+//! nested deeper than [`MAX_NESTING`] levels are rejected with a
+//! [`CError`], so hostile input cannot overflow the host's stack.
 //!
 //! # Example
 //!
@@ -44,7 +46,7 @@ pub use ast::{
     StructId, TranslationUnit, Type, UnOp,
 };
 pub use lexer::{lex, Token, TokenKind};
-pub use parser::parse_tokens;
+pub use parser::{parse_tokens, MAX_NESTING};
 pub use sema::check;
 
 use std::error::Error;

@@ -13,6 +13,7 @@ pub fn parse_tokens(tokens: &[Token]) -> Result<TranslationUnit, CError> {
     let mut p = Parser {
         toks: tokens,
         pos: 0,
+        depth: 0,
         unit: TranslationUnit::default(),
     };
     p.translation_unit()?;
@@ -38,9 +39,19 @@ const TYPE_KEYWORDS: &[&str] = &[
     "ptrdiff_t",
 ];
 
+/// The deepest statement and expression nesting the parser accepts. The
+/// parser and every later pass (sema, the idiom analyzer, lowering) recurse
+/// over the tree, so an unbounded depth would let a hostile source overflow
+/// the host's stack. C11 (5.2.4.1) requires at least 127 nested blocks and
+/// 63 nested parenthesized expressions; this leaves room for both at once.
+pub const MAX_NESTING: usize = 256;
+
 struct Parser<'a> {
     toks: &'a [Token],
     pos: usize,
+    /// Current nesting depth: recursive statement and expression entries,
+    /// plus one per operator a left-associative loop has folded so far.
+    depth: usize,
     unit: TranslationUnit,
 }
 
@@ -108,6 +119,27 @@ impl<'a> Parser<'a> {
                 format!("expected identifier, found {other:?}"),
             )),
         }
+    }
+
+    /// Enters one nesting level, failing past [`MAX_NESTING`]. Callers
+    /// restore `depth` on success; an error aborts the whole parse.
+    fn enter(&mut self) -> Result<(), CError> {
+        if self.depth >= MAX_NESTING {
+            return Err(CError::new(
+                self.line(),
+                format!("nesting deeper than {MAX_NESTING} levels"),
+            ));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs the recursive production `f` one nesting level deeper.
+    fn nested<T>(&mut self, f: fn(&mut Self) -> Result<T, CError>) -> Result<T, CError> {
+        self.enter()?;
+        let r = f(self);
+        self.depth -= 1;
+        r
     }
 
     fn at_type_start(&self) -> bool {
@@ -447,110 +479,33 @@ impl<'a> Parser<'a> {
     }
 
     fn stmt(&mut self) -> Result<Stmt, CError> {
+        self.nested(Self::stmt_inner)
+    }
+
+    /// Dispatches on the statement's first token. Each statement form has
+    /// its own function, so the frame on the recursion path stays small.
+    fn stmt_inner(&mut self) -> Result<Stmt, CError> {
         let line = self.line();
         if self.at_type_start() {
-            let (ty, name) = self.full_type()?;
-            let init = if self.eat_punct("=") {
-                Some(self.expr()?)
-            } else {
-                None
-            };
-            self.expect_punct(";")?;
-            return Ok(Stmt::Decl {
-                name,
-                ty,
-                init,
-                line,
-            });
+            return self.decl(line);
         }
         if self.eat_punct("{") {
             return Ok(Stmt::Block(self.block_tail()?));
         }
         if self.eat_kw("if") {
-            self.expect_punct("(")?;
-            let cond = self.expr()?;
-            self.expect_punct(")")?;
-            let then_branch = self.block_or_single()?;
-            let else_branch = if self.eat_kw("else") {
-                Some(self.block_or_single()?)
-            } else {
-                None
-            };
-            return Ok(Stmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            });
+            return self.if_tail();
         }
         if self.eat_kw("while") {
-            self.expect_punct("(")?;
-            let cond = self.expr()?;
-            self.expect_punct(")")?;
-            let body = self.block_or_single()?;
-            return Ok(Stmt::While { cond, body });
+            return self.while_tail();
         }
         if self.eat_kw("do") {
-            let body = self.block_or_single()?;
-            if !self.eat_kw("while") {
-                return Err(CError::new(self.line(), "expected `while` after `do` body"));
-            }
-            self.expect_punct("(")?;
-            let cond = self.expr()?;
-            self.expect_punct(")")?;
-            self.expect_punct(";")?;
-            return Ok(Stmt::DoWhile { body, cond });
+            return self.do_tail();
         }
         if self.eat_kw("for") {
-            self.expect_punct("(")?;
-            let init = if self.eat_punct(";") {
-                None
-            } else if self.at_type_start() {
-                let (ty, name) = self.full_type()?;
-                let init = if self.eat_punct("=") {
-                    Some(self.expr()?)
-                } else {
-                    None
-                };
-                self.expect_punct(";")?;
-                Some(Box::new(Stmt::Decl {
-                    name,
-                    ty,
-                    init,
-                    line,
-                }))
-            } else {
-                let e = self.expr()?;
-                self.expect_punct(";")?;
-                Some(Box::new(Stmt::Expr(e)))
-            };
-            let cond = if matches!(self.peek(), TokenKind::Punct(";")) {
-                None
-            } else {
-                Some(self.expr()?)
-            };
-            self.expect_punct(";")?;
-            let step = if matches!(self.peek(), TokenKind::Punct(")")) {
-                None
-            } else {
-                Some(self.expr()?)
-            };
-            self.expect_punct(")")?;
-            let body = self.block_or_single()?;
-            return Ok(Stmt::For {
-                init,
-                cond,
-                step,
-                body,
-            });
+            return self.for_tail(line);
         }
         if self.eat_kw("return") {
-            let e = if matches!(self.peek(), TokenKind::Punct(";")) {
-                None
-            } else {
-                Some(self.expr()?)
-            };
-            self.expect_punct(";")?;
-            return Ok(Stmt::Return(e, line));
+            return self.return_tail(line);
         }
         if self.eat_kw("break") {
             self.expect_punct(";")?;
@@ -560,46 +515,148 @@ impl<'a> Parser<'a> {
             self.expect_punct(";")?;
             return Ok(Stmt::Continue(line));
         }
+        self.expr_stmt()
+    }
+
+    fn expr_stmt(&mut self) -> Result<Stmt, CError> {
         let e = self.expr()?;
         self.expect_punct(";")?;
         Ok(Stmt::Expr(e))
     }
 
+    fn return_tail(&mut self, line: u32) -> Result<Stmt, CError> {
+        let e = if matches!(self.peek(), TokenKind::Punct(";")) {
+            None
+        } else {
+            Some(self.expr()?)
+        };
+        self.expect_punct(";")?;
+        Ok(Stmt::Return(e, line))
+    }
+
+    /// A local declaration with an optional initializer, through the `;`.
+    fn decl(&mut self, line: u32) -> Result<Stmt, CError> {
+        let (ty, name) = self.full_type()?;
+        let init = if self.eat_punct("=") {
+            Some(self.expr()?)
+        } else {
+            None
+        };
+        self.expect_punct(";")?;
+        Ok(Stmt::Decl {
+            name,
+            ty,
+            init,
+            line,
+        })
+    }
+
+    /// A parenthesized condition.
+    fn cond(&mut self) -> Result<Expr, CError> {
+        self.expect_punct("(")?;
+        let cond = self.expr()?;
+        self.expect_punct(")")?;
+        Ok(cond)
+    }
+
+    fn if_tail(&mut self) -> Result<Stmt, CError> {
+        let cond = self.cond()?;
+        let then_branch = self.block_or_single()?;
+        let else_branch = if self.eat_kw("else") {
+            Some(self.block_or_single()?)
+        } else {
+            None
+        };
+        Ok(Stmt::If {
+            cond,
+            then_branch,
+            else_branch,
+        })
+    }
+
+    fn while_tail(&mut self) -> Result<Stmt, CError> {
+        let cond = self.cond()?;
+        let body = self.block_or_single()?;
+        Ok(Stmt::While { cond, body })
+    }
+
+    fn do_tail(&mut self) -> Result<Stmt, CError> {
+        let body = self.block_or_single()?;
+        if !self.eat_kw("while") {
+            return Err(CError::new(self.line(), "expected `while` after `do` body"));
+        }
+        let cond = self.cond()?;
+        self.expect_punct(";")?;
+        Ok(Stmt::DoWhile { body, cond })
+    }
+
+    fn for_tail(&mut self, line: u32) -> Result<Stmt, CError> {
+        self.expect_punct("(")?;
+        let init = if self.eat_punct(";") {
+            None
+        } else if self.at_type_start() {
+            Some(Box::new(self.decl(line)?))
+        } else {
+            let e = self.expr()?;
+            self.expect_punct(";")?;
+            Some(Box::new(Stmt::Expr(e)))
+        };
+        let cond = if matches!(self.peek(), TokenKind::Punct(";")) {
+            None
+        } else {
+            Some(self.expr()?)
+        };
+        self.expect_punct(";")?;
+        let step = if matches!(self.peek(), TokenKind::Punct(")")) {
+            None
+        } else {
+            Some(self.expr()?)
+        };
+        self.expect_punct(")")?;
+        let body = self.block_or_single()?;
+        Ok(Stmt::For {
+            init,
+            cond,
+            step,
+            body,
+        })
+    }
+
     // --- Expressions (precedence climbing) ---
+    //
+    // Every nesting level passes through each of these productions, so
+    // each keeps its frame small (even in unoptimized builds) by handing
+    // the rest of the work to a `*_tail` function once it knows which form
+    // it is parsing.
 
     fn expr(&mut self) -> Result<Expr, CError> {
-        self.assignment()
+        self.nested(Self::assignment)
     }
 
     fn assignment(&mut self) -> Result<Expr, CError> {
         let line = self.span();
         let lhs = self.ternary()?;
-        let op = if self.eat_punct("=") {
-            None
-        } else if self.eat_punct("+=") {
-            Some(BinOp::Add)
-        } else if self.eat_punct("-=") {
-            Some(BinOp::Sub)
-        } else if self.eat_punct("*=") {
-            Some(BinOp::Mul)
-        } else if self.eat_punct("/=") {
-            Some(BinOp::Div)
-        } else if self.eat_punct("%=") {
-            Some(BinOp::Rem)
-        } else if self.eat_punct("&=") {
-            Some(BinOp::BitAnd)
-        } else if self.eat_punct("|=") {
-            Some(BinOp::BitOr)
-        } else if self.eat_punct("^=") {
-            Some(BinOp::BitXor)
-        } else if self.eat_punct("<<=") {
-            Some(BinOp::Shl)
-        } else if self.eat_punct(">>=") {
-            Some(BinOp::Shr)
-        } else {
-            return Ok(lhs);
+        let op = match self.peek() {
+            TokenKind::Punct("=") => None,
+            TokenKind::Punct("+=") => Some(BinOp::Add),
+            TokenKind::Punct("-=") => Some(BinOp::Sub),
+            TokenKind::Punct("*=") => Some(BinOp::Mul),
+            TokenKind::Punct("/=") => Some(BinOp::Div),
+            TokenKind::Punct("%=") => Some(BinOp::Rem),
+            TokenKind::Punct("&=") => Some(BinOp::BitAnd),
+            TokenKind::Punct("|=") => Some(BinOp::BitOr),
+            TokenKind::Punct("^=") => Some(BinOp::BitXor),
+            TokenKind::Punct("<<=") => Some(BinOp::Shl),
+            TokenKind::Punct(">>=") => Some(BinOp::Shr),
+            _ => return Ok(lhs),
         };
-        let rhs = self.assignment()?;
+        self.pos += 1;
+        self.assign_tail(line, op, lhs)
+    }
+
+    /// The right-hand side of an assignment, after the operator.
+    fn assign_tail(&mut self, line: Span, op: Option<BinOp>, lhs: Expr) -> Result<Expr, CError> {
+        let rhs = self.nested(Self::assignment)?;
         Ok(Expr::new(
             ExprKind::Assign(op, Box::new(lhs), Box::new(rhs)),
             line,
@@ -609,21 +666,32 @@ impl<'a> Parser<'a> {
     fn ternary(&mut self) -> Result<Expr, CError> {
         let line = self.span();
         let cond = self.binary(0)?;
-        if self.eat_punct("?") {
-            let a = self.expr()?;
-            self.expect_punct(":")?;
-            let b = self.ternary()?;
-            Ok(Expr::new(
-                ExprKind::Ternary(Box::new(cond), Box::new(a), Box::new(b)),
-                line,
-            ))
-        } else {
-            Ok(cond)
+        if !self.eat_punct("?") {
+            return Ok(cond);
         }
+        self.ternary_tail(line, cond)
+    }
+
+    /// The two arms of a conditional expression, after the `?`.
+    fn ternary_tail(&mut self, line: Span, cond: Expr) -> Result<Expr, CError> {
+        let a = self.expr()?;
+        self.expect_punct(":")?;
+        let b = self.nested(Self::ternary)?;
+        Ok(Expr::new(
+            ExprKind::Ternary(Box::new(cond), Box::new(a), Box::new(b)),
+            line,
+        ))
     }
 
     fn binary(&mut self, min_prec: u8) -> Result<Expr, CError> {
-        let mut lhs = self.unary()?;
+        let lhs = self.unary()?;
+        self.binary_tail(min_prec, lhs)
+    }
+
+    /// Folds the binary operators of precedence at least `min_prec` that
+    /// follow the operand `lhs`.
+    fn binary_tail(&mut self, min_prec: u8, mut lhs: Expr) -> Result<Expr, CError> {
+        let base = self.depth;
         loop {
             let (op, prec) = match self.peek() {
                 TokenKind::Punct("||") => (BinOp::LogOr, 1),
@@ -651,165 +719,158 @@ impl<'a> Parser<'a> {
             }
             let line = self.span();
             self.pos += 1;
+            // Each folded operator deepens the left spine by one node.
+            self.enter()?;
             let rhs = self.binary(prec + 1)?;
             lhs = Expr::new(ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), line);
         }
+        self.depth = base;
         Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Expr, CError> {
         let line = self.span();
-        if self.eat_punct("-") {
-            return Ok(Expr::new(
-                ExprKind::Unary(UnOp::Neg, Box::new(self.unary()?)),
-                line,
-            ));
-        }
-        if self.eat_punct("!") {
-            return Ok(Expr::new(
-                ExprKind::Unary(UnOp::Not, Box::new(self.unary()?)),
-                line,
-            ));
-        }
-        if self.eat_punct("~") {
-            return Ok(Expr::new(
-                ExprKind::Unary(UnOp::BitNot, Box::new(self.unary()?)),
-                line,
-            ));
-        }
-        if self.eat_punct("*") {
-            return Ok(Expr::new(
-                ExprKind::Unary(UnOp::Deref, Box::new(self.unary()?)),
-                line,
-            ));
-        }
-        if self.eat_punct("&") {
-            return Ok(Expr::new(
-                ExprKind::Unary(UnOp::Addr, Box::new(self.unary()?)),
-                line,
-            ));
-        }
-        if self.eat_punct("++") {
-            let t = self.unary()?;
-            return Ok(Expr::new(
-                ExprKind::IncDec {
-                    pre: true,
-                    inc: true,
-                    target: Box::new(t),
-                },
-                line,
-            ));
-        }
-        if self.eat_punct("--") {
-            let t = self.unary()?;
-            return Ok(Expr::new(
-                ExprKind::IncDec {
-                    pre: true,
-                    inc: false,
-                    target: Box::new(t),
-                },
-                line,
-            ));
-        }
-        if matches!(self.peek(), TokenKind::Ident(s) if s == "sizeof") {
-            self.pos += 1;
-            if matches!(self.peek(), TokenKind::Punct("(")) {
-                // `sizeof(type)` or `sizeof(expr)` — disambiguate by lookahead.
-                let is_type = matches!(self.peek2(), TokenKind::Ident(s) if TYPE_KEYWORDS.contains(&s.as_str()));
-                if is_type {
-                    self.expect_punct("(")?;
-                    let ty = self.abstract_type()?;
-                    self.expect_punct(")")?;
-                    return Ok(Expr::new(ExprKind::SizeofType(ty), line));
-                }
+        let op = match self.peek() {
+            TokenKind::Punct("-") => UnOp::Neg,
+            TokenKind::Punct("!") => UnOp::Not,
+            TokenKind::Punct("~") => UnOp::BitNot,
+            TokenKind::Punct("*") => UnOp::Deref,
+            TokenKind::Punct("&") => UnOp::Addr,
+            TokenKind::Punct(p @ ("++" | "--")) => {
+                let inc = *p == "++";
+                return self.pre_incdec_tail(line, inc);
             }
-            let e = self.unary()?;
-            return Ok(Expr::new(ExprKind::SizeofExpr(Box::new(e)), line));
-        }
-        if matches!(self.peek(), TokenKind::Ident(s) if s == "offsetof") {
-            self.pos += 1;
+            TokenKind::Ident(s) if s == "sizeof" => return self.sizeof_tail(line),
+            TokenKind::Ident(s) if s == "offsetof" => return self.offsetof_tail(line),
+            TokenKind::Punct("(") if self.peek2_is_type() => return self.cast_tail(line),
+            _ => return self.postfix(),
+        };
+        self.prefix_tail(line, op)
+    }
+
+    /// A prefix operator's operand, at the operator.
+    fn prefix_tail(&mut self, line: Span, op: UnOp) -> Result<Expr, CError> {
+        self.pos += 1;
+        let operand = self.nested(Self::unary)?;
+        Ok(Expr::new(ExprKind::Unary(op, Box::new(operand)), line))
+    }
+
+    /// `++x` or `--x`, at the operator.
+    fn pre_incdec_tail(&mut self, line: Span, inc: bool) -> Result<Expr, CError> {
+        self.pos += 1;
+        let target = self.nested(Self::unary)?;
+        Ok(Expr::new(
+            ExprKind::IncDec {
+                pre: true,
+                inc,
+                target: Box::new(target),
+            },
+            line,
+        ))
+    }
+
+    /// `true` when the token after the current one starts a type name
+    /// (a cast or `sizeof(type)`).
+    fn peek2_is_type(&self) -> bool {
+        matches!(self.peek2(), TokenKind::Ident(s) if TYPE_KEYWORDS.contains(&s.as_str()))
+    }
+
+    /// `sizeof(type)` or `sizeof expr`, at the `sizeof` keyword.
+    fn sizeof_tail(&mut self, line: Span) -> Result<Expr, CError> {
+        self.pos += 1;
+        // `sizeof(type)` or `sizeof(expr)` — disambiguate by lookahead.
+        if matches!(self.peek(), TokenKind::Punct("(")) && self.peek2_is_type() {
             self.expect_punct("(")?;
             let ty = self.abstract_type()?;
-            self.expect_punct(",")?;
-            let field = self.expect_ident()?;
             self.expect_punct(")")?;
-            return Ok(Expr::new(ExprKind::Offsetof(ty, field), line));
+            return Ok(Expr::new(ExprKind::SizeofType(ty), line));
         }
-        // Cast?
-        if matches!(self.peek(), TokenKind::Punct("(")) {
-            let is_type =
-                matches!(self.peek2(), TokenKind::Ident(s) if TYPE_KEYWORDS.contains(&s.as_str()));
-            if is_type {
-                self.expect_punct("(")?;
-                let ty = self.abstract_type()?;
-                self.expect_punct(")")?;
-                let e = self.unary()?;
-                return Ok(Expr::new(ExprKind::Cast(ty, Box::new(e)), line));
-            }
-        }
-        self.postfix()
+        let e = self.nested(Self::unary)?;
+        Ok(Expr::new(ExprKind::SizeofExpr(Box::new(e)), line))
+    }
+
+    /// `offsetof(type, field)`, at the `offsetof` keyword.
+    fn offsetof_tail(&mut self, line: Span) -> Result<Expr, CError> {
+        self.pos += 1;
+        self.expect_punct("(")?;
+        let ty = self.abstract_type()?;
+        self.expect_punct(",")?;
+        let field = self.expect_ident()?;
+        self.expect_punct(")")?;
+        Ok(Expr::new(ExprKind::Offsetof(ty, field), line))
+    }
+
+    /// `(type) operand`, at the `(`.
+    fn cast_tail(&mut self, line: Span) -> Result<Expr, CError> {
+        self.expect_punct("(")?;
+        let ty = self.abstract_type()?;
+        self.expect_punct(")")?;
+        let e = self.nested(Self::unary)?;
+        Ok(Expr::new(ExprKind::Cast(ty, Box::new(e)), line))
     }
 
     fn postfix(&mut self) -> Result<Expr, CError> {
-        let mut e = self.primary()?;
+        let e = self.primary()?;
+        self.postfix_tail(e)
+    }
+
+    /// Applies the postfix operators that follow the operand `e`.
+    fn postfix_tail(&mut self, mut e: Expr) -> Result<Expr, CError> {
+        let base = self.depth;
         loop {
             let line = self.span();
-            if self.eat_punct("[") {
-                let idx = self.expr()?;
-                self.expect_punct("]")?;
-                e = Expr::new(ExprKind::Index(Box::new(e), Box::new(idx)), line);
-            } else if self.eat_punct(".") {
-                let f = self.expect_ident()?;
-                e = Expr::new(
+            let kind = match *self.peek() {
+                TokenKind::Punct("[") => {
+                    self.pos += 1;
+                    let idx = self.expr()?;
+                    self.expect_punct("]")?;
+                    ExprKind::Index(Box::new(e), Box::new(idx))
+                }
+                TokenKind::Punct(p @ ("." | "->")) => {
+                    self.pos += 1;
+                    let field = self.expect_ident()?;
                     ExprKind::Member {
                         base: Box::new(e),
-                        field: f,
-                        arrow: false,
-                    },
-                    line,
-                );
-            } else if self.eat_punct("->") {
-                let f = self.expect_ident()?;
-                e = Expr::new(
-                    ExprKind::Member {
-                        base: Box::new(e),
-                        field: f,
-                        arrow: true,
-                    },
-                    line,
-                );
-            } else if self.eat_punct("++") {
-                e = Expr::new(
+                        field,
+                        arrow: p == "->",
+                    }
+                }
+                TokenKind::Punct(p @ ("++" | "--")) => {
+                    self.pos += 1;
                     ExprKind::IncDec {
                         pre: false,
-                        inc: true,
+                        inc: p == "++",
                         target: Box::new(e),
-                    },
-                    line,
-                );
-            } else if self.eat_punct("--") {
-                e = Expr::new(
-                    ExprKind::IncDec {
-                        pre: false,
-                        inc: false,
-                        target: Box::new(e),
-                    },
-                    line,
-                );
-            } else {
-                break;
-            }
+                    }
+                }
+                _ => break,
+            };
+            e = Expr::new(kind, line);
+            // Each postfix operator wraps the expression in one more node.
+            self.enter()?;
         }
+        self.depth = base;
         Ok(e)
     }
 
     fn primary(&mut self) -> Result<Expr, CError> {
-        let line = self.span();
         if self.eat_punct("(") {
-            let e = self.expr()?;
-            self.expect_punct(")")?;
-            return Ok(e);
+            self.paren_tail()
+        } else {
+            self.atom()
         }
+    }
+
+    /// A parenthesized expression, after the `(`.
+    fn paren_tail(&mut self) -> Result<Expr, CError> {
+        let e = self.expr()?;
+        self.expect_punct(")")?;
+        Ok(e)
+    }
+
+    /// A literal, a variable or a call.
+    fn atom(&mut self) -> Result<Expr, CError> {
+        let line = self.span();
         match self.bump().clone() {
             TokenKind::Int(v) => Ok(Expr::new(ExprKind::IntLit(v), line)),
             TokenKind::Str(s) => Ok(Expr::new(ExprKind::StrLit(s), line)),

@@ -4,12 +4,11 @@
 //! vector; this module recovers basic blocks and edges from the branch
 //! targets so dataflow analyses (`cheri-lint`) can run a worklist over the
 //! function. Blocks are per-function: every function occupies a contiguous
-//! pc range (see [`IrProgram::func_range`]) and `Call` is *not* a block
-//! terminator — calls return inline, and the analysis treats them as
-//! opaque value producers.
+//! pc range (see [`IrProgram::func_range`]), branch targets never leave it,
+//! and `Call` is *not* a block terminator — calls return inline, and the
+//! analysis treats them as opaque value producers.
 
 use crate::ir::{IrProgram, Op};
-use std::collections::BTreeSet;
 
 /// A basic block: a maximal straight-line run of ops.
 #[derive(Clone, Debug)]
@@ -43,23 +42,24 @@ impl Cfg {
         let (lo, hi) = prog.func_range(fid);
         // Leaders: the entry, every branch target, and every op after a
         // terminator (branch or return).
-        let mut leaders: BTreeSet<usize> = BTreeSet::new();
-        leaders.insert(lo);
+        let mut starts: Vec<usize> = vec![lo];
         for pc in lo..hi {
             match &prog.code[pc] {
                 Op::Jump { target } | Op::JumpIfZero { target } | Op::JumpIfNonZero { target } => {
-                    leaders.insert(*target as usize);
+                    starts.push(*target as usize);
                     if pc + 1 < hi {
-                        leaders.insert(pc + 1);
+                        starts.push(pc + 1);
                     }
                 }
                 Op::Ret { .. } if pc + 1 < hi => {
-                    leaders.insert(pc + 1);
+                    starts.push(pc + 1);
                 }
                 _ => {}
             }
         }
-        let starts: Vec<usize> = leaders.into_iter().filter(|&pc| pc < hi).collect();
+        starts.sort_unstable();
+        starts.dedup();
+        starts.retain(|&pc| pc < hi);
         let block_of = |pc: usize| -> usize {
             match starts.binary_search(&pc) {
                 Ok(i) => i,
@@ -94,7 +94,8 @@ impl Cfg {
             };
         }
         for i in 0..blocks.len() {
-            for s in blocks[i].succs.clone() {
+            for k in 0..blocks[i].succs.len() {
+                let s = blocks[i].succs[k];
                 blocks[s].preds.push(i);
                 // The lowering only emits backward branches for loops, so a
                 // target at or before the source marks a loop head.
@@ -106,9 +107,11 @@ impl Cfg {
         Cfg { entry: lo, blocks }
     }
 
-    /// The block containing `pc`, if any.
+    /// The block containing `pc`, if any: a binary search over the
+    /// ascending, contiguous blocks.
     pub fn block_at(&self, pc: usize) -> Option<usize> {
-        self.blocks.iter().position(|b| b.start <= pc && pc < b.end)
+        let i = self.blocks.partition_point(|b| b.start <= pc);
+        i.checked_sub(1).filter(|&i| pc < self.blocks[i].end)
     }
 }
 

@@ -63,6 +63,11 @@ pub struct IrProgram {
     /// Source metadata for each op, parallel to `code` (same length).
     pub info: Vec<OpInfo>,
     /// Function descriptors, indexed by the `f` field of [`Op::Call`].
+    ///
+    /// Invariant: the lowering emits functions back to back in `funcs`
+    /// order, so entries strictly ascend, the init pseudo-function
+    /// ([`IrProgram::init_fid`]) is last, and each function's code runs up
+    /// to the next entry. [`IrProgram::func_range`] relies on it.
     pub funcs: Vec<IrFunc>,
     /// Interned types referenced by ops (for model calls that need them).
     pub types: Vec<Type>,
@@ -98,18 +103,13 @@ impl IrProgram {
     }
 
     /// The half-open pc range `[entry, end)` of function `fid`: functions
-    /// are lowered back to back, so a function extends to the next entry
-    /// point (or the end of the op stream).
+    /// are lowered back to back (see [`IrProgram::funcs`]), so a function
+    /// extends to the next function's entry, or to the end of the op
+    /// stream for the last one.
     pub fn func_range(&self, fid: u32) -> (usize, usize) {
-        let entry = self.funcs[fid as usize].entry;
-        let end = self
-            .funcs
-            .iter()
-            .map(|f| f.entry)
-            .filter(|&e| e > entry)
-            .min()
-            .unwrap_or(self.code.len());
-        (entry, end)
+        let fid = fid as usize;
+        let end = self.funcs.get(fid + 1).map_or(self.code.len(), |f| f.entry);
+        (self.funcs[fid].entry, end)
     }
 
     /// `true` when no code was generated (never the case after lowering —

@@ -18,7 +18,9 @@ use crate::ir::{
 use crate::layout::{align_of, field_offset, size_of, TargetInfo};
 use crate::machine::{GLOBALS_OFF, VBASE};
 use cheri_c::{BinOp, Block, Expr, ExprKind, FuncDef, Stmt, TranslationUnit, Type, UnOp};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 
 /// Lowers `unit` for `target`. The result is immutable and `Sync`: threads
 /// running different models over the same layout share one lowering.
@@ -30,7 +32,7 @@ pub fn lower(unit: &TranslationUnit, target: TargetInfo) -> IrProgram {
         info: Vec::new(),
         cur: OpInfo::default(),
         types: Vec::new(),
-        ty_map: HashMap::new(),
+        ty_map: TyMap::default(),
         strings: Vec::new(),
         str_map: HashMap::new(),
         globals: Vec::new(),
@@ -55,6 +57,70 @@ pub fn lower(unit: &TranslationUnit, target: TargetInfo) -> IrProgram {
         globals: lw.globals,
         init_fid,
         str_ty,
+    }
+}
+
+/// The type-interning table. A unit interns only a handful of distinct
+/// types but looks one up for every typed op, so the table hashes with the
+/// cheap [`MulHasher`] instead of SipHash.
+type TyMap = HashMap<Type, TyId, MulState>;
+
+/// Builds [`MulHasher`]s from a random per-table seed: the types come from
+/// source text, which must not be able to choose colliding keys.
+#[derive(Clone)]
+struct MulState(u64);
+
+impl Default for MulState {
+    fn default() -> MulState {
+        MulState(RandomState::new().build_hasher().finish())
+    }
+}
+
+impl BuildHasher for MulState {
+    type Hasher = MulHasher;
+
+    fn build_hasher(&self) -> MulHasher {
+        MulHasher(self.0)
+    }
+}
+
+/// A multiplicative (Fx-style) hasher: each written word is rotated into
+/// the state and multiplied by an odd constant.
+struct MulHasher(u64);
+
+impl MulHasher {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for MulHasher {
+    // `Type`'s derived `Hash` writes only the integers below; byte strings
+    // never reach this hasher, so they may go a byte at a time.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves the well-mixed bits at the top; the table
+        // indexes with the low bits.
+        self.0.rotate_left(26)
     }
 }
 
@@ -91,7 +157,7 @@ struct Lowerer<'u> {
     /// statement currently being lowered).
     cur: OpInfo,
     types: Vec<Type>,
-    ty_map: HashMap<Type, TyId>,
+    ty_map: TyMap,
     strings: Vec<String>,
     str_map: HashMap<String, u32>,
     globals: Vec<IrGlobal>,
@@ -830,7 +896,7 @@ impl<'u> Lowerer<'u> {
                             });
                         }
                         PlaceL::Global { addr, ty } => {
-                            let ty = self.tyid(&ty.clone());
+                            let ty = self.tyid(ty);
                             self.emit(Op::LoadGlobal {
                                 addr: *addr,
                                 ty,
@@ -839,7 +905,7 @@ impl<'u> Lowerer<'u> {
                         }
                         PlaceL::Indirect { ty } => {
                             let size = self.size_or_poison(ty);
-                            let ty = self.tyid(&ty.clone());
+                            let ty = self.tyid(ty);
                             self.emit(Op::Dup);
                             self.emit(Op::LoadInd { ty, size, line });
                         }
@@ -1003,7 +1069,7 @@ impl<'u> Lowerer<'u> {
                 });
             }
             PlaceL::Global { addr, ty } => {
-                let ty = self.tyid(&ty.clone());
+                let ty = self.tyid(ty);
                 self.emit(Op::StoreGlobal {
                     addr: *addr,
                     ty,
@@ -1012,7 +1078,7 @@ impl<'u> Lowerer<'u> {
             }
             PlaceL::Indirect { ty } => {
                 let size = self.size_or_poison(ty);
-                let ty = self.tyid(&ty.clone());
+                let ty = self.tyid(ty);
                 self.emit(Op::StoreInd { ty, size, line });
             }
         }

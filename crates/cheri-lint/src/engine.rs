@@ -933,15 +933,13 @@ fn join_global_cells(a: BTreeMap<u64, Cell>, b: &BTreeMap<u64, Cell>) -> BTreeMa
     out
 }
 
-/// Name of the function whose pc range contains `pc`.
+/// Name of the function whose pc range contains `pc`: a binary search
+/// over the ascending entries (see [`IrProgram::funcs`]).
 fn func_name_at(prog: &IrProgram, pc: usize) -> String {
-    for i in 0..prog.funcs.len() {
-        let (lo, hi) = prog.func_range(i as u32);
-        if lo <= pc && pc < hi {
-            return prog.funcs[i].name.clone();
-        }
+    match prog.funcs.partition_point(|f| f.entry <= pc) {
+        i if i > 0 && pc < prog.code.len() => prog.funcs[i - 1].name.clone(),
+        _ => String::new(),
     }
-    String::new()
 }
 
 impl<'a> Analyzer<'a> {
@@ -2074,23 +2072,23 @@ impl<'a> Analyzer<'a> {
 
     // --- Blocks and the worklist ---
 
+    /// A conditional branch: `succs` is the block's successor list, the
+    /// taken edge first, then the fall-through edge when there is one.
     fn branch(
         &mut self,
-        cfg: &Cfg,
-        target: usize,
-        fall_pc: usize,
+        succs: &[usize],
         mut st: AbsState,
         zero_takes: bool,
     ) -> Vec<(usize, AbsState)> {
         let cond = st.stack.pop().unwrap_or(AbsVal::Bot);
         let mut out = Vec::new();
-        if let Some(ti) = cfg.block_at(target) {
+        if let Some(&ti) = succs.first() {
             let mut ts = st.clone();
             if Self::refine(&mut ts, &cond, !zero_takes) {
                 out.push((ti, ts));
             }
         }
-        if let Some(fi) = cfg.block_at(fall_pc) {
+        if let Some(&fi) = succs.get(1) {
             if Self::refine(&mut st, &cond, zero_takes) {
                 out.push((fi, st));
             }
@@ -2098,6 +2096,8 @@ impl<'a> Analyzer<'a> {
         out
     }
 
+    /// Runs block `bi` and returns its out-states, following the
+    /// successor edges [`Cfg::build`] recorded for the block's terminator.
     fn run_block(
         &mut self,
         cfg: &Cfg,
@@ -2105,24 +2105,14 @@ impl<'a> Analyzer<'a> {
         mut st: AbsState,
         exit_globals: &mut Option<BTreeMap<u64, Cell>>,
     ) -> Vec<(usize, AbsState)> {
-        let (start, end) = (cfg.blocks[bi].start, cfg.blocks[bi].end);
-        for pc in start..end {
-            let op = self.prog.code[pc].clone();
-            match op {
-                Op::Jump { target } => {
-                    return cfg
-                        .block_at(target as usize)
-                        .map(|s| vec![(s, st)])
-                        .unwrap_or_default();
-                }
-                Op::JumpIfZero { target } => {
-                    return self.branch(cfg, target as usize, end, st, true);
-                }
-                Op::JumpIfNonZero { target } => {
-                    return self.branch(cfg, target as usize, end, st, false);
-                }
+        let block = &cfg.blocks[bi];
+        let prog = self.prog;
+        for pc in block.start..block.end {
+            match &prog.code[pc] {
+                Op::JumpIfZero { .. } => return self.branch(&block.succs, st, true),
+                Op::JumpIfNonZero { .. } => return self.branch(&block.succs, st, false),
                 Op::Ret { has_value } => {
-                    if has_value {
+                    if *has_value {
                         st.stack.pop();
                     }
                     *exit_globals = Some(match exit_globals.take() {
@@ -2131,14 +2121,20 @@ impl<'a> Analyzer<'a> {
                     });
                     return vec![];
                 }
-                other => match self.exec(pc, &other, &mut st) {
+                // An unconditional jump, like falling off the block, has
+                // at most one successor.
+                Op::Jump { .. } => break,
+                op => match self.exec(pc, op, &mut st) {
                     Flow::Next => {}
                     Flow::Dead => return vec![],
                 },
             }
         }
-        // Fell off the block: continue into the lexical successor.
-        cfg.block_at(end).map(|s| vec![(s, st)]).unwrap_or_default()
+        block
+            .succs
+            .first()
+            .map(|&s| vec![(s, st)])
+            .unwrap_or_default()
     }
 
     fn entry_state(&self, fid: u32) -> AbsState {
