@@ -20,8 +20,6 @@ pub struct BasicBlock {
     /// Successor blocks, as indices into [`Cfg::blocks`]. Conditional
     /// branches list the *taken* edge first, then fall-through.
     pub succs: Vec<usize>,
-    /// Predecessor blocks.
-    pub preds: Vec<usize>,
     /// `true` when some predecessor edge is a back edge (the block is a
     /// loop head — dataflow should widen here).
     pub is_loop_head: bool,
@@ -73,7 +71,6 @@ impl Cfg {
                 start,
                 end: starts.get(i + 1).copied().unwrap_or(hi),
                 succs: Vec::new(),
-                preds: Vec::new(),
                 is_loop_head: false,
             })
             .collect();
@@ -96,7 +93,6 @@ impl Cfg {
         for i in 0..blocks.len() {
             for k in 0..blocks[i].succs.len() {
                 let s = blocks[i].succs[k];
-                blocks[s].preds.push(i);
                 // The lowering only emits backward branches for loops, so a
                 // target at or before the source marks a loop head.
                 if blocks[s].start <= blocks[i].start {
@@ -121,6 +117,17 @@ mod tests {
     use crate::layout::TargetInfo;
     use crate::lower;
 
+    /// Predecessor lists, derived from the successor edges.
+    fn preds(cfg: &Cfg) -> Vec<Vec<usize>> {
+        let mut preds = vec![Vec::new(); cfg.blocks.len()];
+        for (i, b) in cfg.blocks.iter().enumerate() {
+            for &s in &b.succs {
+                preds[s].push(i);
+            }
+        }
+        preds
+    }
+
     fn cfg_of(src: &str, name: &str) -> (IrProgram, Cfg) {
         let unit = cheri_c::parse(src).expect("parses");
         let prog = lower(&unit, TargetInfo::lp64());
@@ -136,7 +143,7 @@ mod tests {
         let (_, cfg) = cfg_of("int main(void) { int x = 1; return x; }", "main");
         assert!(cfg.blocks[0].succs.is_empty());
         assert!(cfg.blocks.iter().all(|b| !b.is_loop_head));
-        assert!(cfg.blocks.iter().skip(1).all(|b| b.preds.is_empty()));
+        assert!(preds(&cfg).iter().skip(1).all(Vec::is_empty));
     }
 
     #[test]
@@ -148,7 +155,7 @@ mod tests {
         assert_eq!(cfg.blocks[0].succs.len(), 2, "conditional entry");
         assert!(cfg.blocks.iter().all(|b| !b.is_loop_head));
         // The join block has two predecessors.
-        assert!(cfg.blocks.iter().any(|b| b.preds.len() == 2));
+        assert!(preds(&cfg).iter().any(|p| p.len() == 2));
     }
 
     #[test]
@@ -157,9 +164,12 @@ mod tests {
             "int main(void) { int s = 0; for (int i = 0; i < 5; i++) { s = s + i; } return s; }",
             "main",
         );
-        let heads: Vec<_> = cfg.blocks.iter().filter(|b| b.is_loop_head).collect();
+        let preds = preds(&cfg);
+        let heads: Vec<usize> = (0..cfg.blocks.len())
+            .filter(|&i| cfg.blocks[i].is_loop_head)
+            .collect();
         assert_eq!(heads.len(), 1, "exactly one loop head");
-        assert!(heads[0].preds.len() >= 2, "entry edge plus back edge");
+        assert!(preds[heads[0]].len() >= 2, "entry edge plus back edge");
     }
 
     #[test]
@@ -178,11 +188,9 @@ mod tests {
             covered = b.end;
         }
         assert_eq!(covered, hi, "blocks cover the whole function");
-        // Every successor/predecessor index is valid and consistent.
-        for (i, b) in cfg.blocks.iter().enumerate() {
-            for &s in &b.succs {
-                assert!(cfg.blocks[s].preds.contains(&i));
-            }
+        // Every successor index is valid.
+        for b in &cfg.blocks {
+            assert!(b.succs.iter().all(|&s| s < cfg.blocks.len()));
         }
         assert_eq!(cfg.block_at(lo), Some(0));
         assert_eq!(cfg.block_at(hi), None);

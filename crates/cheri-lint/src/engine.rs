@@ -2098,12 +2098,13 @@ impl<'a> Analyzer<'a> {
 
     /// Runs block `bi` and returns its out-states, following the
     /// successor edges [`Cfg::build`] recorded for the block's terminator.
+    /// A `Ret` joins its globals into `exit_globals` when one is given.
     fn run_block(
         &mut self,
         cfg: &Cfg,
         bi: usize,
         mut st: AbsState,
-        exit_globals: &mut Option<BTreeMap<u64, Cell>>,
+        exit_globals: Option<&mut Option<BTreeMap<u64, Cell>>>,
     ) -> Vec<(usize, AbsState)> {
         let block = &cfg.blocks[bi];
         let prog = self.prog;
@@ -2115,10 +2116,12 @@ impl<'a> Analyzer<'a> {
                     if *has_value {
                         st.stack.pop();
                     }
-                    *exit_globals = Some(match exit_globals.take() {
-                        None => st.globals.clone(),
-                        Some(g) => join_global_cells(g, &st.globals),
-                    });
+                    if let Some(exit) = exit_globals {
+                        *exit = Some(match exit.take() {
+                            None => st.globals,
+                            Some(g) => join_global_cells(g, &st.globals),
+                        });
+                    }
                     return vec![];
                 }
                 // An unconditional jump, like falling off the block, has
@@ -2198,6 +2201,9 @@ impl<'a> Analyzer<'a> {
         queued[0] = true;
         let budget = nblocks * 64 + 128;
         let mut visits = 0usize;
+        // Only `<global-init>`'s exit globals are read (they seed every
+        // other function's entry state), so only its returns collect them.
+        let is_init = fid == self.prog.init_fid;
         let mut exit_globals: Option<BTreeMap<u64, Cell>> = None;
         while let Some(bi) = work.pop_front() {
             queued[bi] = false;
@@ -2209,7 +2215,9 @@ impl<'a> Analyzer<'a> {
             let Some(in_st) = ins[bi].clone() else {
                 continue;
             };
-            for (succ, out_st) in self.run_block(&cfg, bi, in_st, &mut exit_globals) {
+            for (succ, out_st) in
+                self.run_block(&cfg, bi, in_st, is_init.then_some(&mut exit_globals))
+            {
                 let widen = cfg.blocks[succ].is_loop_head && joins[succ] >= 2;
                 let merged = match &ins[succ] {
                     None => out_st,
@@ -2240,7 +2248,7 @@ impl<'a> Analyzer<'a> {
                 }
             }
         }
-        if fid == self.prog.init_fid {
+        if is_init {
             if let Some(g) = exit_globals {
                 self.init_globals = g;
             }

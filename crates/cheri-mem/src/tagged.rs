@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 
 /// Retired backing stores, reused by [`TaggedMemory::with_format`] so a
 /// hot loop constructing machines (the fig benches build a fresh 16 MiB
-/// memory per run) re-zeroes only the chunks the previous run dirtied
+/// memory per run) re-zeroes only the pages the previous run dirtied
 /// instead of memsetting the whole store. Only memories of at least
 /// [`POOL_MIN_BYTES`] are pooled, bounded by [`POOL_MAX_ENTRIES`] *and*
 /// [`POOL_MAX_BYTES`] of total resident capacity (so one giant or many
@@ -66,9 +66,9 @@ pub struct TaggedMemory {
     /// The tag bitmap: granule `g`'s tag is bit `g % 64` of word `g / 64`.
     /// Bits past the last granule are always clear.
     tags: Vec<u64>,
-    /// One bit per [`DIRTY_CHUNK`]-byte chunk that has been written since
+    /// One bit per [`DIRTY_CHUNK`]-byte page that has been written since
     /// construction or the last [`TaggedMemory::reset`]. Lets `reset` re-zero
-    /// only the touched chunks instead of the whole backing store, which is
+    /// only the touched pages instead of the whole backing store, which is
     /// what makes pooling memories across interpreter runs cheap.
     dirty: Vec<u64>,
     format: CapFormat,
@@ -79,9 +79,46 @@ pub struct TaggedMemory {
     comp_stats: CompressionStats,
 }
 
-/// Dirty-tracking granularity: 64 KiB chunks (a multiple of [`CAP_ALIGN`],
-/// and of the 64 granules one tag word covers).
-const DIRTY_CHUNK: u64 = 64 * 1024;
+/// Dirty-tracking granularity: 4 KiB pages (a multiple of [`CAP_ALIGN`],
+/// and of the 64 granules one tag word covers). A snapshot, a fork and a
+/// pooled reset each cost what the guest touched, rounded to pages.
+const DIRTY_CHUNK: u64 = 4 * 1024;
+
+/// The indices of the set bits of a bitmap (bit `i % 64` of word
+/// `i / 64`), ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = u64> + '_ {
+    (0u64..).zip(words).flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let b = u64::from(bits.trailing_zeros());
+            bits &= bits - 1;
+            Some(w * 64 + b)
+        })
+    })
+}
+
+/// The pages set in `dirty` as coalesced byte ranges `[start, end)`,
+/// ascending; a run reaching the end of memory is clipped to `size`.
+fn dirty_runs(dirty: &[u64], size: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
+    let mut pages = set_bits(dirty).peekable();
+    std::iter::from_fn(move || {
+        let first = pages.next()?;
+        let mut end = first + 1;
+        while pages.next_if_eq(&end).is_some() {
+            end += 1;
+        }
+        Some((first * DIRTY_CHUNK, (end * DIRTY_CHUNK).min(size)))
+    })
+}
+
+/// The tag-bitmap words covering the byte range `[start, end)`, where
+/// `start` is page-aligned (so the range begins on a word boundary).
+fn tag_words(start: u64, end: u64) -> std::ops::Range<usize> {
+    (start / CAP_ALIGN / 64) as usize..end.div_ceil(CAP_ALIGN).div_ceil(64) as usize
+}
 
 /// The low `n <= 64` bits set.
 fn low_mask(n: usize) -> u64 {
@@ -127,11 +164,11 @@ impl TaggedMemory {
                 return m;
             }
         }
-        let chunks = size.div_ceil(DIRTY_CHUNK);
+        let pages = size.div_ceil(DIRTY_CHUNK);
         TaggedMemory {
             bytes: vec![0; size as usize],
             tags: vec![0; granules.div_ceil(64) as usize],
-            dirty: vec![0; chunks.div_ceil(64) as usize],
+            dirty: vec![0; pages.div_ceil(64) as usize],
             format,
             policy,
             side: HashMap::new(),
@@ -174,17 +211,17 @@ impl TaggedMemory {
         }
         let first = addr / DIRTY_CHUNK;
         let last = (addr + len - 1) / DIRTY_CHUNK;
-        for c in first..=last {
-            self.dirty[(c / 64) as usize] |= 1 << (c % 64);
+        for p in first..=last {
+            self.dirty[(p / 64) as usize] |= 1 << (p % 64);
         }
     }
 
-    /// Marks the chunk containing `addr` dirty: the whole of
+    /// Marks the page containing `addr` dirty: the whole of
     /// [`TaggedMemory::mark_dirty`] for a write inside one granule.
     #[inline]
-    fn mark_chunk_dirty(&mut self, addr: u64) {
-        let c = addr / DIRTY_CHUNK;
-        self.dirty[(c / 64) as usize] |= 1 << (c % 64);
+    fn mark_page_dirty(&mut self, addr: u64) {
+        let p = addr / DIRTY_CHUNK;
+        self.dirty[(p / 64) as usize] |= 1 << (p % 64);
     }
 
     /// Granule `g`'s tag.
@@ -268,27 +305,19 @@ impl TaggedMemory {
     }
 
     /// Restores the memory to its freshly-constructed state — all bytes
-    /// zero, all tags clear — touching only the chunks dirtied since the
+    /// zero, all tags clear — touching only the pages dirtied since the
     /// last reset. Cost is proportional to the footprint actually written,
     /// not to the memory's size.
     pub fn reset(&mut self) {
         self.side.clear();
         self.comp_stats = CompressionStats::default();
-        for w in 0..self.dirty.len() {
-            let mut bits = self.dirty[w];
-            self.dirty[w] = 0;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as u64;
-                bits &= bits - 1;
-                let start = (w as u64 * 64 + b) * DIRTY_CHUNK;
-                let end = (start + DIRTY_CHUNK).min(self.size());
-                self.bytes[start as usize..end as usize].fill(0);
-                self.clear_tag_range(
-                    (start / CAP_ALIGN) as usize,
-                    end.div_ceil(CAP_ALIGN) as usize,
-                );
-            }
+        let mut dirty = std::mem::take(&mut self.dirty);
+        for (start, end) in dirty_runs(&dirty, self.size()) {
+            self.bytes[start as usize..end as usize].fill(0);
+            self.tags[tag_words(start, end)].fill(0);
         }
+        dirty.fill(0);
+        self.dirty = dirty;
     }
 
     /// Total size in bytes.
@@ -365,7 +394,7 @@ impl TaggedMemory {
 
     /// [`TaggedMemory::write_bytes`] for the fixed-width scalar stores. A
     /// store inside one granule (every aligned one) clears one tag bit and
-    /// sets one dirty bit, since a granule never straddles a dirty chunk.
+    /// sets one dirty bit, since a granule never straddles a dirty page.
     #[inline]
     fn write_scalar<const N: usize>(&mut self, addr: u64, data: [u8; N]) -> MemResult<()> {
         let a = self.check(addr, N as u64)?;
@@ -381,7 +410,7 @@ impl TaggedMemory {
         if !self.side.is_empty() {
             self.side.remove(&(g as u64 * CAP_ALIGN));
         }
-        self.mark_chunk_dirty(addr);
+        self.mark_page_dirty(addr);
         Ok(())
     }
 
@@ -590,7 +619,7 @@ impl TaggedMemory {
             }
         }
         self.set_tag(a / CAP_ALIGN as usize, cap.tag());
-        self.mark_chunk_dirty(addr);
+        self.mark_page_dirty(addr);
         Ok(())
     }
 
@@ -619,17 +648,7 @@ impl TaggedMemory {
     /// Iterates over the addresses of all tagged granules — the precise
     /// root/heap scan the tag-accurate garbage collector performs.
     pub fn tagged_granules(&self) -> impl Iterator<Item = u64> + '_ {
-        (0u64..).zip(&self.tags).flat_map(|(w, &word)| {
-            let mut bits = word;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let b = u64::from(bits.trailing_zeros());
-                bits &= bits - 1;
-                Some((w * 64 + b) * CAP_ALIGN)
-            })
-        })
+        set_bits(&self.tags).map(|g| g * CAP_ALIGN)
     }
 
     /// A capability-oblivious copy, as the hardware performs it: bytes are
@@ -710,35 +729,25 @@ impl TaggedMemory {
         Ok(())
     }
 
-    /// Captures the warm footprint of this memory — every chunk dirtied
+    /// Captures the warm footprint of this memory — every page dirtied
     /// since construction (or the last [`TaggedMemory::reset`]) with its
-    /// bytes and tags, plus the Cap128 side table and compression counters
-    /// — as a shareable [`MemSnapshot`].
+    /// bytes and tags, coalesced into runs of adjacent pages, plus the
+    /// Cap128 side table and compression counters — as a shareable
+    /// [`MemSnapshot`].
     ///
     /// The snapshot relies on the dirty bitmap being a complete record of
-    /// mutation: a clean chunk is all-zero with clear tags. That invariant
+    /// mutation: a clean page is all-zero with clear tags. That invariant
     /// holds for every `TaggedMemory` built through the public API —
     /// construction yields a zeroed store (pooled stores are reset) and
-    /// every mutating operation marks the chunks it touches.
+    /// every mutating operation marks the pages it touches.
     pub fn snapshot(&self) -> MemSnapshot {
-        let mut warm = Vec::new();
-        for (w, &word) in self.dirty.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as u64;
-                bits &= bits - 1;
-                let start = (w as u64 * 64 + b) * DIRTY_CHUNK;
-                let end = (start + DIRTY_CHUNK).min(self.size());
-                // A chunk spans whole tag words: 2048 granules.
-                let w0 = (start / CAP_ALIGN / 64) as usize;
-                let w1 = end.div_ceil(CAP_ALIGN).div_ceil(64) as usize;
-                warm.push(WarmChunk {
-                    start,
-                    bytes: self.bytes[start as usize..end as usize].to_vec(),
-                    tags: self.tags[w0..w1].to_vec(),
-                });
-            }
-        }
+        let warm = dirty_runs(&self.dirty, self.size())
+            .map(|(start, end)| WarmRun {
+                start,
+                bytes: self.bytes[start as usize..end as usize].to_vec(),
+                tags: self.tags[tag_words(start, end)].to_vec(),
+            })
+            .collect();
         MemSnapshot {
             inner: Arc::new(SnapInner {
                 size: self.size(),
@@ -753,11 +762,11 @@ impl TaggedMemory {
     }
 }
 
-/// One dirty chunk captured by [`TaggedMemory::snapshot`]: its byte image
-/// and the tag-bitmap words of the granules it covers. Only the last chunk
-/// of a memory may be short.
+/// One run of adjacent dirty pages captured by [`TaggedMemory::snapshot`]:
+/// its byte image and the tag-bitmap words of the granules it covers. Only
+/// a run that reaches the end of memory may end off a page boundary.
 #[derive(Debug)]
-struct WarmChunk {
+struct WarmRun {
     start: u64,
     bytes: Vec<u8>,
     tags: Vec<u64>,
@@ -769,7 +778,7 @@ struct SnapInner {
     format: CapFormat,
     policy: UnrepresentablePolicy,
     dirty: Vec<u64>,
-    warm: Vec<WarmChunk>,
+    warm: Vec<WarmRun>,
     side: HashMap<u64, [u8; CAP_SIZE_BYTES]>,
     comp_stats: CompressionStats,
 }
@@ -778,10 +787,10 @@ struct SnapInner {
 /// footprint, used to fork a warmed-up machine per request instead of
 /// re-initializing (and re-executing into) a fresh one.
 ///
-/// Copy-on-write is applied at fork time and at dirty-chunk granularity:
+/// Copy-on-write is applied at fork time and at dirty-page granularity:
 /// [`MemSnapshot::fork`] obtains a zeroed backing store from the memory
-/// pool (whose `reset` already re-zeroes only previously-dirty chunks) and
-/// copies in *only* the chunks the snapshot recorded as warm. Cost is
+/// pool (whose `reset` already re-zeroes only previously-dirty pages) and
+/// copies in *only* the page runs the snapshot recorded as warm. Cost is
 /// proportional to the guest's actual footprint, not the memory size, and
 /// the forked memory shares no mutable state with the snapshot — so the
 /// hot read path (`read_bytes` returning borrowed slices) stays exactly as
@@ -801,11 +810,11 @@ impl MemSnapshot {
     pub fn fork(&self) -> TaggedMemory {
         let s = &*self.inner;
         let mut m = TaggedMemory::with_format(s.size, s.format, s.policy);
-        for chunk in &s.warm {
-            let a = chunk.start as usize;
-            m.bytes[a..a + chunk.bytes.len()].copy_from_slice(&chunk.bytes);
-            let w0 = (chunk.start / CAP_ALIGN / 64) as usize;
-            m.tags[w0..w0 + chunk.tags.len()].copy_from_slice(&chunk.tags);
+        for run in &s.warm {
+            let a = run.start as usize;
+            m.bytes[a..a + run.bytes.len()].copy_from_slice(&run.bytes);
+            let w0 = (run.start / CAP_ALIGN / 64) as usize;
+            m.tags[w0..w0 + run.tags.len()].copy_from_slice(&run.tags);
         }
         m.dirty.copy_from_slice(&s.dirty);
         m.side = s.side.clone();
@@ -818,17 +827,17 @@ impl MemSnapshot {
         self.inner.size
     }
 
-    /// Bytes of warm (captured) chunk data — the amount [`MemSnapshot::fork`]
+    /// Bytes of warm (captured) page data — the amount [`MemSnapshot::fork`]
     /// actually copies.
     pub fn warm_bytes(&self) -> u64 {
-        self.inner.warm.iter().map(|c| c.bytes.len() as u64).sum()
+        self.inner.warm.iter().map(|r| r.bytes.len() as u64).sum()
     }
 }
 
 impl Drop for TaggedMemory {
     /// Retires a large backing store into the reuse pool (dirty bits kept,
     /// so the next [`TaggedMemory::with_format`] of the same size pays
-    /// only a dirty-chunk re-zero).
+    /// only a dirty-page re-zero).
     fn drop(&mut self) {
         if self.size() < POOL_MIN_BYTES {
             return;
@@ -944,15 +953,15 @@ mod tests {
 
     #[test]
     fn reset_is_equivalent_to_fresh() {
-        // Dirty several distinct chunks through every mutation path, then
+        // Dirty several distinct pages through every mutation path, then
         // reset and compare against a freshly constructed memory.
-        let size = 8 * 64 * 1024;
+        let size = 8 * DIRTY_CHUNK;
         let mut m = TaggedMemory::new(size);
         m.write_u64(8, 0xDEAD_BEEF).unwrap();
-        m.write_bytes(64 * 1024 + 3, b"hello").unwrap();
-        m.write_cap(2 * 64 * 1024, &a_cap()).unwrap();
-        m.fill(5 * 64 * 1024 - 16, 64, 0xAA).unwrap(); // straddles chunks
-        m.memcpy(7 * 64 * 1024, 0, 128).unwrap();
+        m.write_bytes(DIRTY_CHUNK + 3, b"hello").unwrap();
+        m.write_cap(2 * DIRTY_CHUNK, &a_cap()).unwrap();
+        m.fill(5 * DIRTY_CHUNK - 16, 64, 0xAA).unwrap(); // straddles pages
+        m.memcpy(7 * DIRTY_CHUNK, 0, 128).unwrap();
         m.reset();
         let fresh = TaggedMemory::new(size);
         assert_eq!(
@@ -960,9 +969,56 @@ mod tests {
             fresh.read_bytes(0, size).unwrap()
         );
         assert_eq!(m.tagged_granules().count(), 0);
+        assert!(m.dirty.iter().all(|&w| w == 0));
         // The memory is fully reusable afterwards.
-        m.write_cap(2 * 64 * 1024, &a_cap()).unwrap();
-        assert!(m.read_cap(2 * 64 * 1024).unwrap().tag());
+        m.write_cap(2 * DIRTY_CHUNK, &a_cap()).unwrap();
+        assert!(m.read_cap(2 * DIRTY_CHUNK).unwrap().tag());
+    }
+
+    #[test]
+    fn straddling_write_dirties_both_pages_and_runs_coalesce() {
+        let mut m = TaggedMemory::new(16 * DIRTY_CHUNK);
+        // An unaligned scalar store across the boundary of pages 2 and 3.
+        m.write_u64(3 * DIRTY_CHUNK - 4, u64::MAX).unwrap();
+        assert_eq!(m.snapshot().warm_bytes(), 2 * DIRTY_CHUNK);
+        // One capability store in page 9 and a byte in page 4: two more
+        // pages, and the snapshot holds runs {2, 3, 4} and {9}.
+        m.write_cap(9 * DIRTY_CHUNK + 0x40, &a_cap()).unwrap();
+        m.write_u8(4 * DIRTY_CHUNK, 1).unwrap();
+        let snap = m.snapshot();
+        assert_eq!(snap.warm_bytes(), 4 * DIRTY_CHUNK);
+        let runs: Vec<(u64, u64)> = snap
+            .inner
+            .warm
+            .iter()
+            .map(|r| (r.start, r.bytes.len() as u64))
+            .collect();
+        assert_eq!(
+            runs,
+            vec![
+                (2 * DIRTY_CHUNK, 3 * DIRTY_CHUNK),
+                (9 * DIRTY_CHUNK, DIRTY_CHUNK)
+            ]
+        );
+        assert_mem_identical(&m, &snap.fork());
+    }
+
+    #[test]
+    fn dirty_runs_clip_to_a_short_last_page() {
+        // A memory that ends mid-page: its last run stops at the end.
+        let size = 3 * DIRTY_CHUNK + 96;
+        let mut m = TaggedMemory::new(size);
+        m.write_cap(size - CAP_ALIGN, &a_cap()).unwrap();
+        m.write_u8(2 * DIRTY_CHUNK, 7).unwrap();
+        let snap = m.snapshot();
+        assert_eq!(snap.warm_bytes(), DIRTY_CHUNK + 96);
+        assert_mem_identical(&m, &snap.fork());
+        m.reset();
+        assert_eq!(
+            m.read_bytes(0, size).unwrap(),
+            TaggedMemory::new(size).read_bytes(0, size).unwrap()
+        );
+        assert_eq!(m.tagged_granules().count(), 0);
     }
 
     #[test]
@@ -1145,7 +1201,7 @@ mod tests {
         m.write_u64(8, 0xDEAD_BEEF).unwrap();
         m.write_bytes(DIRTY_CHUNK + 3, b"warm data").unwrap();
         m.write_cap(2 * DIRTY_CHUNK, &a_cap()).unwrap();
-        m.fill(5 * DIRTY_CHUNK - 16, 64, 0xAA).unwrap(); // straddles chunks
+        m.fill(5 * DIRTY_CHUNK - 16, 64, 0xAA).unwrap(); // straddles pages
         let snap = m.snapshot();
         let fork = snap.fork();
         assert_mem_identical(&m, &fork);

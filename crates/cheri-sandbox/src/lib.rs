@@ -9,9 +9,11 @@
 //!   and run once up to its *ready marker* (the `break` emitted by the
 //!   mini-C `abort()` intrinsic), then captured as a [`cheri_vm::VmSnapshot`].
 //!   Every request runs on a fork of that snapshot, which copies only the
-//!   dirty-chunk footprint the warm-up actually touched — not the multi-MiB
-//!   backing store — so forking is an order of magnitude cheaper than
-//!   cold-booting and re-warming the guest.
+//!   4 KiB pages the warm-up actually touched — not the multi-MiB backing
+//!   store — and shares the code image and the compiled-block table, which
+//!   the snapshot precompiled for the request path. A fork costs a few
+//!   microseconds; cold-booting and re-warming the guest costs a few
+//!   hundred.
 //! * **Work-stealing, fuel-sliced scheduling.** Requests run across
 //!   [`scheduler::run_sliced`] workers (std threads + per-worker deques).
 //!   A guest that exhausts its preemption quantum is re-queued; a guest

@@ -2,7 +2,7 @@
 
 use crate::scheduler::{run_sliced, Slice};
 use cheri_compile::{compile, Abi, CompileError};
-use cheri_vm::{SharedHierarchy, TrapCause, Vm, VmConfig, VmSnapshot, VmTrap};
+use cheri_vm::{LayoutError, SharedHierarchy, TrapCause, Vm, VmConfig, VmSnapshot, VmTrap};
 use std::error::Error;
 use std::fmt;
 
@@ -68,6 +68,9 @@ impl TenantConfig {
 pub enum SandboxError {
     /// The guest source did not compile.
     Compile(CompileError),
+    /// The tenant's memory quota cannot hold the guest's data segment,
+    /// stack and a heap.
+    Quota(LayoutError),
     /// The guest trapped during warm-up, before reaching its ready marker.
     Boot(VmTrap),
     /// The guest returned from `main` without ever calling `abort()`.
@@ -83,6 +86,7 @@ impl fmt::Display for SandboxError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SandboxError::Compile(e) => write!(f, "guest does not compile: {e}"),
+            SandboxError::Quota(e) => write!(f, "guest does not fit its memory quota: {e}"),
             SandboxError::Boot(t) => write!(f, "guest trapped during warm-up: {t}"),
             SandboxError::NoReadyMarker { exit } => {
                 write!(f, "guest exited ({exit}) without reaching its ready marker")
@@ -232,8 +236,9 @@ impl SandboxService {
     ///
     /// # Errors
     ///
-    /// [`SandboxError`] if the guest does not compile, traps before the
-    /// marker, never reaches it, or has no `request` buffer.
+    /// [`SandboxError`] if the guest does not compile, does not fit its
+    /// memory quota, traps before the marker, never reaches it, or has no
+    /// `request` buffer.
     pub fn add_tenant(&mut self, cfg: TenantConfig) -> Result<usize, SandboxError> {
         let prog = compile(&cfg.source, cfg.abi)?;
         let find = |name: &str| {
@@ -245,7 +250,7 @@ impl SandboxService {
         let (request_addr, request_cap) =
             find("request").ok_or_else(|| SandboxError::MissingSymbol("request".into()))?;
         let len_addr = find("request_len").map(|(addr, _)| addr);
-        let mut vm = Vm::new(prog, cfg.vm);
+        let mut vm = Vm::try_new(prog, cfg.vm).map_err(SandboxError::Quota)?;
         match vm.run(cfg.fuel_budget) {
             Err(VmTrap {
                 pc,
@@ -421,6 +426,55 @@ impl SandboxService {
                     slices: job.slices,
                 })
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::guests;
+    use cheri_compile::Abi;
+
+    /// Memory quotas from 4 KiB to 4 MiB, powers of two and the midpoints
+    /// between them.
+    fn quotas() -> impl Iterator<Item = u64> {
+        (12..=22)
+            .flat_map(|p| [1u64 << p, 3 << (p - 1)])
+            .filter(|&q| q <= 4 << 20)
+    }
+
+    #[test]
+    fn undersized_quotas_are_typed_errors_never_panics() {
+        let fleet = [
+            guests::tree_service(4),
+            guests::table_service(),
+            guests::oob_service(),
+        ];
+        for source in fleet {
+            let mut admitted = 0;
+            for quota in quotas() {
+                let cfg = TenantConfig::new("quota", source.clone(), Abi::CheriV3)
+                    .with_vm(VmConfig::functional().with_mem_size(quota));
+                let mut service = SandboxService::new();
+                match service.add_tenant(cfg) {
+                    Ok(t) => {
+                        admitted += 1;
+                        let request = Request {
+                            tenant: t,
+                            payload: vec![2, 4, 6],
+                        };
+                        let served = service.serve(&[request], 1);
+                        assert!(served[0].outcome.is_completed(), "{quota:#x}: {served:?}");
+                    }
+                    Err(SandboxError::Quota(e)) => {
+                        assert!(quota < 2 << 20, "{quota:#x} must fit: {e}");
+                        assert!(!e.to_string().is_empty());
+                    }
+                    Err(e) => panic!("{quota:#x}: unexpected {e}"),
+                }
+            }
+            assert!(admitted > 0, "the larger quotas admit the guest");
         }
     }
 }

@@ -19,6 +19,15 @@
 //!   handler function, so the per-op dispatch is an indirect call on
 //!   pre-extracted operands instead of a match over [`FlatOp`].
 //!
+//! The compiled-block table is immutable once a machine is snapshotted,
+//! so an engine holds it behind an [`Arc`]: a clone (a snapshot's fork)
+//! shares it by reference and owns only its execution counters. An engine
+//! that must compile or link a block into a shared table copies the table
+//! first (copy-on-write), so a snapshot and its sibling forks never see
+//! another fork's compiles. [`crate::Vm::snapshot`] precompiles every
+//! statically reachable block (see [`ExecBackend::precompile`]) so forks
+//! rarely need to.
+//!
 //! Chaining preserves bit-identity because the chain loop re-applies the
 //! outer loop's policy before every hop: the successor must lie inside
 //! the validated fetch window (so `fetch_checks` cannot diverge — the
@@ -37,6 +46,7 @@ use crate::opt;
 use crate::trap::{TrapCause, VmTrap};
 use cheri_isa::{Instr, Op};
 use std::fmt;
+use std::sync::Arc;
 
 /// An execution backend: compiles blocks on demand and runs the machine
 /// until exit, trap, or fuel exhaustion. Exactly the contract
@@ -49,6 +59,16 @@ pub(crate) trait ExecBackend: fmt::Debug + Send + Sync {
     /// Folds this backend's block execution counters (histogram × execs)
     /// into `counts`, completing the per-op retirement statistics.
     fn add_op_counts(&self, counts: &mut [u64]);
+    /// Compiles every block statically reachable from `pc` and links the
+    /// chain successors between them. Changes no simulated result, only
+    /// what later runs find already compiled.
+    fn precompile(&mut self, pc: u64, code: &[Instr]);
+    /// Blocks in the compiled-block table.
+    fn compiled_blocks(&self) -> usize;
+    /// The address of the compiled-block table, to tell a shared table
+    /// from a private copy.
+    #[cfg(test)]
+    fn table_addr(&self) -> usize;
     /// Clone through the trait object (keeps `Vm: Clone`).
     fn boxed_clone(&self) -> Box<dyn ExecBackend>;
 }
@@ -127,6 +147,15 @@ struct Compiled<R> {
     body: R,
 }
 
+/// The compiled-block table: blocks keyed by entry pc, with their chain
+/// memos. Engines share it until one of them compiles or links a block.
+#[derive(Clone, Debug)]
+struct Table<R> {
+    /// `index[pc]` is the compiled block entered at `pc`, or `u32::MAX`.
+    index: Vec<u32>,
+    blocks: Vec<Compiled<R>>,
+}
+
 /// The generic block engine: lazy compiled-block cache keyed by entry pc,
 /// per-block execution counters for stat hoisting, and the dispatch loop
 /// with optional block chaining.
@@ -137,11 +166,11 @@ pub(crate) struct Engine<R: BlockRepr> {
     opt: OptLevel,
     /// Per-engine compile context (the native tier's code buffer).
     cx: R::Cx,
-    /// `index[pc]` is the compiled block entered at `pc`, or `u32::MAX`.
-    index: Vec<u32>,
-    blocks: Vec<Compiled<R>>,
+    /// Shared by clones; copied on the first write after a clone.
+    table: Arc<Table<R>>,
     /// Completed executions per block (partial executions account their
-    /// prefix into the machine's residual counters instead).
+    /// prefix into the machine's residual counters instead). Always as
+    /// long as the table's block list.
     execs: Vec<u64>,
     /// Memo of the last terminal scan: every entry pc in
     /// `[scan_start, scan_end)` has its block end exactly at `scan_end`.
@@ -159,8 +188,10 @@ impl<R: BlockRepr> Engine<R> {
             chain,
             opt: cfg.opt,
             cx: R::Cx::default(),
-            index: vec![u32::MAX; code_len],
-            blocks: Vec::new(),
+            table: Arc::new(Table {
+                index: vec![u32::MAX; code_len],
+                blocks: Vec::new(),
+            }),
             execs: Vec::new(),
             scan_start: 0,
             scan_end: 0,
@@ -171,9 +202,9 @@ impl<R: BlockRepr> Engine<R> {
     /// compiling it: cached block if one exists, memoized terminal scan
     /// otherwise.
     fn block_len_at(&mut self, pc: u64, code: &[Instr]) -> u64 {
-        let id = self.index[pc as usize];
+        let id = self.table.index[pc as usize];
         if id != u32::MAX {
-            return self.blocks[id as usize].len;
+            return self.table.blocks[id as usize].len;
         }
         if pc >= self.scan_start && pc < self.scan_end {
             return self.scan_end - pc;
@@ -186,18 +217,25 @@ impl<R: BlockRepr> Engine<R> {
 
     /// The compiled block entered at `pc`, building it on first use.
     fn get_or_compile(&mut self, pc: u64, code: &[Instr]) -> u32 {
-        let slot = pc as usize;
-        let id = self.index[slot];
+        let id = self.table.index[pc as usize];
         if id != u32::MAX {
             return id;
         }
+        self.compile(pc, code)
+    }
+
+    /// Compiles the block entered at `pc` into the table, copying the
+    /// table first if another engine shares it.
+    #[cold]
+    fn compile(&mut self, pc: u64, code: &[Instr]) -> u32 {
         let mut block = Block::build(pc, code);
         if self.opt == OptLevel::Peephole {
             opt::peephole(&mut block);
         }
-        let id = self.blocks.len() as u32;
         let body = R::compile(&block.ops, block.start, &self.cx);
-        self.blocks.push(Compiled {
+        let table = Arc::make_mut(&mut self.table);
+        let id = table.blocks.len() as u32;
+        table.blocks.push(Compiled {
             start: block.start,
             len: block.instr_len(),
             base_cycles: block.base_cycles,
@@ -208,9 +246,22 @@ impl<R: BlockRepr> Engine<R> {
             taken: u32::MAX,
             fall: u32::MAX,
         });
+        table.index[pc as usize] = id;
         self.execs.push(0);
-        self.index[slot] = id;
         id
+    }
+
+    /// The block entered at `next`, memoized as block `id`'s taken or
+    /// fall-through successor.
+    fn link(&mut self, id: u32, take_edge: bool, next: u64, code: &[Instr]) -> u32 {
+        let nid = self.get_or_compile(next, code);
+        let c = &mut Arc::make_mut(&mut self.table).blocks[id as usize];
+        if take_edge {
+            c.taken = nid;
+        } else {
+            c.fall = nid;
+        }
+        nid
     }
 
     /// The dispatch loop. Mirrors the pre-backend `Vm::run`/`run_block`
@@ -249,77 +300,71 @@ impl<R: BlockRepr> Engine<R> {
             let mut entry = pc;
             // The chain loop: execute the block, then — for direct
             // branch/jump terminals — hop straight to the compiled
-            // successor while it stays inside the window and the fuel.
-            loop {
-                debug_assert_eq!(self.blocks[id as usize].start, entry);
-                // Base cycles are hoisted to one add, *before* the block
-                // body, so a terminal `clock()` syscall reads the same
-                // cycle count the per-instruction loop (which charges
-                // before executing) shows.
-                let exec_result = {
-                    let c = &self.blocks[id as usize];
-                    // Fetch is charged once per block entry (outer dispatch
-                    // and chain hops alike), amortized exactly like the
-                    // hoisted base cycles; a no-op unless fetch charging is
-                    // configured.
+            // successor while it stays inside the window and the fuel. It
+            // borrows the table once; a successor not yet memoized leaves
+            // the borrow to be compiled and linked, then the chain goes on.
+            'chain: loop {
+                let table = &*self.table;
+                let (take_edge, next) = loop {
+                    let c = &table.blocks[id as usize];
+                    debug_assert_eq!(c.start, entry);
+                    // Base cycles are hoisted to one add, *before* the
+                    // block body, so a terminal `clock()` syscall reads the
+                    // same cycle count the per-instruction loop (which
+                    // charges before executing) shows. Fetch is charged
+                    // once per block entry (outer dispatch and chain hops
+                    // alike), amortized exactly like the hoisted base
+                    // cycles; a no-op unless fetch charging is configured.
                     vm.charge_fetch(entry, c.len);
                     vm.cycles += c.base_cycles;
-                    c.body.exec(vm, entry)
-                };
-                let next = match exec_result {
-                    Ok(next) => next,
-                    Err((trap_pc, cause)) => {
-                        let c = &self.blocks[id as usize];
-                        let executed = (trap_pc - entry) as usize + 1;
-                        vm.unwind_partial(&c.raw, executed, c.base_cycles);
-                        // Like `step`, leave the pc at the trapping
-                        // instruction.
-                        vm.pc = trap_pc;
-                        return Err(VmTrap { pc: trap_pc, cause });
+                    let next = match c.body.exec(vm, entry) {
+                        Ok(next) => next,
+                        Err((trap_pc, cause)) => {
+                            let executed = (trap_pc - entry) as usize + 1;
+                            vm.unwind_partial(&c.raw, executed, c.base_cycles);
+                            // Like `step`, leave the pc at the trapping
+                            // instruction.
+                            vm.pc = trap_pc;
+                            return Err(VmTrap { pc: trap_pc, cause });
+                        }
+                    };
+                    self.execs[id as usize] += 1;
+                    vm.instret += c.len;
+                    vm.regs[0] = 0;
+                    vm.pc = next;
+                    remaining -= c.len;
+                    if !self.chain {
+                        break 'chain;
                     }
-                };
-                self.execs[id as usize] += 1;
-                let (blen, exit, taken_memo, fall_memo) = {
-                    let c = &self.blocks[id as usize];
-                    (c.len, c.exit, c.taken, c.fall)
-                };
-                vm.instret += blen;
-                vm.regs[0] = 0;
-                vm.pc = next;
-                remaining -= blen;
-                if !self.chain {
-                    break;
-                }
-                // Only static-successor exits chain; everything else
-                // (indirect, capability jump, syscall/break, fall-off)
-                // returns to the outer loop, which re-checks `halted` and
-                // the fetch window.
-                let take_edge = match exit {
-                    BlockExit::Branch { taken, .. } => next == taken,
-                    BlockExit::Jump { .. } => true,
-                    _ => break,
-                };
-                // The successor must be inside the validated window (the
-                // window is invariant during a chain — nothing chained
-                // writes the PCC) and must fit in the remaining fuel,
-                // exactly the outer loop's dispatch conditions.
-                if next < vm.run_start || next >= vm.run_end {
-                    break;
-                }
-                let memo = if take_edge { taken_memo } else { fall_memo };
-                let nid = if memo != u32::MAX {
-                    memo
-                } else {
-                    let nid = self.get_or_compile(next, &vm.code);
-                    let c = &mut self.blocks[id as usize];
-                    if take_edge {
-                        c.taken = nid;
-                    } else {
-                        c.fall = nid;
+                    // Only static-successor exits chain; everything else
+                    // (indirect, capability jump, syscall/break, fall-off)
+                    // returns to the outer loop, which re-checks `halted`
+                    // and the fetch window.
+                    let take_edge = match c.exit {
+                        BlockExit::Branch { taken, .. } => next == taken,
+                        BlockExit::Jump { .. } => true,
+                        _ => break 'chain,
+                    };
+                    // The successor must be inside the validated window
+                    // (the window is invariant during a chain — nothing
+                    // chained writes the PCC) and must fit in the remaining
+                    // fuel, exactly the outer loop's dispatch conditions.
+                    if next < vm.run_start || next >= vm.run_end {
+                        break 'chain;
                     }
-                    nid
+                    let memo = if take_edge { c.taken } else { c.fall };
+                    if memo == u32::MAX {
+                        break (take_edge, next);
+                    }
+                    let nlen = table.blocks[memo as usize].len;
+                    if nlen > remaining || next + nlen > vm.run_end {
+                        break 'chain;
+                    }
+                    id = memo;
+                    entry = next;
                 };
-                let nlen = self.blocks[nid as usize].len;
+                let nid = self.link(id, take_edge, next, &vm.code);
+                let nlen = self.table.blocks[nid as usize].len;
                 if nlen > remaining || next + nlen > vm.run_end {
                     break;
                 }
@@ -344,7 +389,7 @@ impl<R: BlockRepr> ExecBackend for Engine<R> {
     }
 
     fn add_op_counts(&self, counts: &mut [u64]) {
-        for (block, &n) in self.blocks.iter().zip(&self.execs) {
+        for (block, &n) in self.table.blocks.iter().zip(&self.execs) {
             if n == 0 {
                 continue;
             }
@@ -352,6 +397,54 @@ impl<R: BlockRepr> ExecBackend for Engine<R> {
                 counts[op as usize] += u64::from(c) * n;
             }
         }
+    }
+
+    fn precompile(&mut self, pc: u64, code: &[Instr]) {
+        // Leaders: `pc` and the static successors of every compiled block,
+        // its direct branch or jump target and the instruction after it
+        // (calls return there). Blocks compiled before the snapshot count
+        // too: calls they made may still be on the stack. Compiling one
+        // block never changes another's extent — a block is always the run
+        // from its entry to the first block-ender.
+        let mut work = vec![pc];
+        let mut scanned = 0;
+        loop {
+            for c in &self.table.blocks[scanned..] {
+                work.push(c.start + c.len);
+                match c.exit {
+                    BlockExit::Branch { taken, .. } => work.push(taken),
+                    BlockExit::Jump { target } => work.push(target),
+                    _ => {}
+                }
+            }
+            scanned = self.table.blocks.len();
+            let Some(pc) = work.pop() else { break };
+            if (pc as usize) < code.len() && self.table.index[pc as usize] == u32::MAX {
+                self.compile(pc, code);
+            }
+        }
+        // Link every static edge (relinking one is idempotent).
+        for id in 0..self.table.blocks.len() as u32 {
+            let (taken, fall) = match self.table.blocks[id as usize].exit {
+                BlockExit::Branch { taken, fall } => (taken, Some(fall)),
+                BlockExit::Jump { target } => (target, None),
+                _ => continue,
+            };
+            for (take_edge, next) in [(true, Some(taken)), (false, fall)] {
+                if let Some(next) = next.filter(|&n| (n as usize) < code.len()) {
+                    self.link(id, take_edge, next, code);
+                }
+            }
+        }
+    }
+
+    fn compiled_blocks(&self) -> usize {
+        self.table.blocks.len()
+    }
+
+    #[cfg(test)]
+    fn table_addr(&self) -> usize {
+        Arc::as_ptr(&self.table) as usize
     }
 
     fn boxed_clone(&self) -> Box<dyn ExecBackend> {
@@ -773,10 +866,10 @@ mod tests {
             let expect = Block::build(pc, &code).instr_len();
             assert_eq!(len, expect, "length at pc {pc}");
         }
-        assert_eq!(e.blocks.len(), 0, "length queries must not compile");
+        assert_eq!(e.table.blocks.len(), 0, "length queries must not compile");
         // Once a block is compiled, its cached length is served from it.
         let id = e.get_or_compile(3, &code);
-        assert_eq!(e.block_len_at(3, &code), e.blocks[id as usize].len);
+        assert_eq!(e.block_len_at(3, &code), e.table.blocks[id as usize].len);
     }
 
     #[test]
@@ -792,8 +885,12 @@ mod tests {
             code.len(),
         );
         let id = e.get_or_compile(0, &code);
-        assert_eq!(e.blocks[id as usize].len, 2);
-        assert_eq!(e.blocks[id as usize].body.0.len(), 1, "fused to one op");
+        assert_eq!(e.table.blocks[id as usize].len, 2);
+        assert_eq!(
+            e.table.blocks[id as usize].body.0.len(),
+            1,
+            "fused to one op"
+        );
         assert_eq!(e.get_or_compile(0, &code), id, "compile is cached");
     }
 

@@ -44,7 +44,7 @@ mod opt;
 mod trap;
 
 pub use config::{BackendKind, OptLevel, VmConfig, NULL_GUARD_SIZE};
-pub use machine::{ExitStatus, Vm, VmSnapshot, VmStats};
+pub use machine::{ExitStatus, LayoutError, Vm, VmSnapshot, VmStats};
 pub use trap::{TrapCause, VmTrap};
 
 // Re-exported so a VM can be configured without naming cheri-cap/cheri-mem,

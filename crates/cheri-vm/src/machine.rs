@@ -12,6 +12,9 @@ use cheri_cap::{ptr_cmp, CapFormat, Capability, CompressionStats, Perms, CAP_SIZ
 use cheri_isa::{CmpOp, Instr, Op, Program, DDC};
 use cheri_mem::{Allocator, MemSnapshot, TaggedMemory};
 use std::cmp::Ordering;
+use std::error::Error;
+use std::fmt;
+use std::sync::Arc;
 
 /// Capability register conventions used by the compiler and runtime.
 pub mod cabi {
@@ -78,11 +81,14 @@ pub struct ExitStatus {
 /// An immutable image of a (typically warmed-up) machine, shareable across
 /// threads, from which per-request machines are forked.
 ///
-/// Produced by [`Vm::snapshot`]. The machine state (registers, heap, cache
-/// model, statistics, compiled blocks) is held as a memory-less shell and
-/// cloned per fork; memory itself is a [`MemSnapshot`], so each fork pays
-/// only for the chunks the guest actually touched — not for the 8–16 MiB
-/// backing store, which comes zeroed from the memory pool.
+/// Produced by [`Vm::snapshot`]. The machine state is held as a
+/// memory-less shell and cloned per fork. What never changes after the
+/// snapshot — the code image and the compiled-block table, precompiled for
+/// every statically reachable block — is shared by reference; a fork owns
+/// only its registers, heap, cache model, output and execution counters.
+/// Memory itself is a [`MemSnapshot`], so each fork pays only for the
+/// pages the guest actually touched — not for the 4–16 MiB backing store,
+/// which comes zeroed from the memory pool.
 #[derive(Clone, Debug)]
 pub struct VmSnapshot {
     /// The machine minus its memory (the shell's memory is zero-sized).
@@ -112,12 +118,68 @@ impl VmSnapshot {
     }
 }
 
+/// Why [`Vm::try_new`] cannot lay a program out in its configured memory:
+/// the memory quota is too small for the data segment, the stack, or a
+/// heap between them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LayoutError {
+    /// The data segment `[data_base, end)` does not fit in memory.
+    DataSegment {
+        /// One past the segment's last byte.
+        end: u64,
+        /// The configured memory size.
+        mem_size: u64,
+    },
+    /// The stack reservation (at least 64 bytes) does not fit in memory.
+    Stack {
+        /// The configured stack size.
+        stack_size: u64,
+        /// The configured memory size.
+        mem_size: u64,
+    },
+    /// No room for a heap between the data segment and the stack.
+    NoHeap {
+        /// Where the heap would start.
+        heap_base: u64,
+        /// Where the stack starts.
+        stack_base: u64,
+    },
+}
+
+impl fmt::Display for LayoutError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            LayoutError::DataSegment { end, mem_size } => write!(
+                f,
+                "data segment ends at {end:#x}, past the {mem_size:#x}-byte memory"
+            ),
+            LayoutError::Stack {
+                stack_size,
+                mem_size,
+            } => write!(
+                f,
+                "a {stack_size:#x}-byte stack does not fit in a {mem_size:#x}-byte memory"
+            ),
+            LayoutError::NoHeap {
+                heap_base,
+                stack_base,
+            } => write!(
+                f,
+                "no room for a heap: it would start at {heap_base:#x}, the stack at {stack_base:#x}"
+            ),
+        }
+    }
+}
+
+impl Error for LayoutError {}
+
 /// The CHERI machine.
 ///
 /// See the crate documentation for an end-to-end example.
 #[derive(Debug)]
 pub struct Vm {
-    pub(crate) code: Vec<Instr>,
+    /// The decoded code image, shared by every clone and fork.
+    pub(crate) code: Arc<[Instr]>,
     pub(crate) regs: [u64; 32],
     caps: [Capability; 32],
     pcc: Capability,
@@ -166,8 +228,8 @@ impl Clone for Vm {
             run_start: self.run_start,
             run_end: self.run_end,
             fetch_checks: self.fetch_checks,
-            // Clones the compiled blocks *and* their execution counters,
-            // so a cloned machine reports the same op counts.
+            // Shares the compiled blocks and clones their execution
+            // counters, so a cloned machine reports the same op counts.
             backend: self.backend.as_ref().map(|b| b.boxed_clone()),
         }
     }
@@ -182,16 +244,45 @@ impl Vm {
     ///
     /// # Panics
     ///
-    /// Panics if the data segment does not fit below the heap, which
-    /// indicates a mis-sized [`VmConfig`] rather than a guest error.
+    /// Panics with the [`LayoutError`] [`Vm::try_new`] returns when the
+    /// program does not fit `cfg`'s memory.
     pub fn new(program: Program, cfg: VmConfig) -> Vm {
+        Vm::try_new(program, cfg).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Vm::new`] for a memory quota that may be too small: the data
+    /// segment, a stack of at least 64 bytes and a non-empty heap between
+    /// them must all fit in `cfg.mem_size`.
+    ///
+    /// # Errors
+    ///
+    /// The [`LayoutError`] naming what does not fit.
+    pub fn try_new(program: Program, cfg: VmConfig) -> Result<Vm, LayoutError> {
+        let data_end = cfg.data_base.saturating_add(program.data.len() as u64);
+        if data_end > cfg.mem_size {
+            return Err(LayoutError::DataSegment {
+                end: data_end,
+                mem_size: cfg.mem_size,
+            });
+        }
+        if cfg.stack_size < 64 || cfg.stack_size > cfg.mem_size {
+            return Err(LayoutError::Stack {
+                stack_size: cfg.stack_size,
+                mem_size: cfg.mem_size,
+            });
+        }
+        let heap_base = data_end.saturating_add(0x100).next_multiple_of(32);
+        let stack_base = cfg.mem_size - cfg.stack_size;
+        let heap_end = heap_base.saturating_add(cfg.heap_size).min(stack_base);
+        if heap_base >= heap_end {
+            return Err(LayoutError::NoHeap {
+                heap_base,
+                stack_base,
+            });
+        }
         let mut mem = TaggedMemory::with_format(cfg.mem_size, cfg.cap_format, cfg.cap128_policy);
         mem.write_bytes(cfg.data_base, &program.data)
-            .expect("data segment must fit in memory");
-        let heap_base = (cfg.data_base + program.data.len() as u64 + 0x100).next_multiple_of(32);
-        let stack_base = cfg.mem_size - cfg.stack_size;
-        let heap_end = (heap_base + cfg.heap_size).min(stack_base);
-        assert!(heap_base < heap_end, "no room for heap: config too small");
+            .expect("the data segment was checked to fit");
         let heap = Allocator::with_format(heap_base, heap_end - heap_base, cfg.cap_format);
 
         let mut regs = [0u64; 32];
@@ -203,10 +294,10 @@ impl Vm {
             .expect("fresh stack cap is unsealed");
         let pcc = Capability::new_mem(0, program.code.len() as u64 * 8, Perms::code());
 
-        Vm {
+        Ok(Vm {
             pc: program.entry,
             backend: Some(new_backend(&cfg, program.code.len())),
-            code: program.code,
+            code: program.code.into(),
             regs,
             caps,
             pcc,
@@ -222,7 +313,7 @@ impl Vm {
             run_start: 0,
             run_end: 0,
             fetch_checks: 0,
-        }
+        })
     }
 
     // --- Introspection (used by tests, examples and the bench harness) ---
@@ -332,6 +423,13 @@ impl Vm {
         }
     }
 
+    /// Blocks in this machine's compiled-block table. A fork of a
+    /// [`VmSnapshot`] serving a request on precompiled code keeps the
+    /// count it started with.
+    pub fn compiled_blocks(&self) -> usize {
+        self.backend.as_ref().map_or(0, |b| b.compiled_blocks())
+    }
+
     /// Which execution backend this machine is configured with.
     pub fn backend_kind(&self) -> crate::BackendKind {
         match &self.backend {
@@ -346,11 +444,15 @@ impl Vm {
     /// [`VmSnapshot`] that can be [`VmSnapshot::fork`]ed per request.
     ///
     /// A fork is observationally identical to `self.clone()` but copies
-    /// only the dirty-chunk footprint of memory instead of the whole
-    /// backing store, which is what makes serving a request stream from a
-    /// warmed-up guest image cheap.
+    /// only the dirty-page footprint of memory instead of the whole
+    /// backing store, and shares the compiled-block table. The snapshot
+    /// first compiles every block statically reachable from the current pc
+    /// or from a block the machine already ran, so a fork serving a
+    /// request compiles nothing unless it enters code mid-block (say, after
+    /// a fuel slice ran out there). That is what makes serving a request
+    /// stream from a warmed-up guest image cheap.
     pub fn snapshot(&self) -> VmSnapshot {
-        let shell = Vm {
+        let mut shell = Vm {
             code: self.code.clone(),
             regs: self.regs,
             caps: self.caps,
@@ -370,6 +472,9 @@ impl Vm {
             fetch_checks: self.fetch_checks,
             backend: self.backend.as_ref().map(|b| b.boxed_clone()),
         };
+        if let Some(b) = &mut shell.backend {
+            b.precompile(shell.pc, &shell.code);
+        }
         VmSnapshot {
             shell,
             mem: self.mem.snapshot(),
@@ -1263,6 +1368,132 @@ mod tests {
         assert_eq!(again.run(1_000_000).unwrap().code, 123);
         assert!(snap.warm_bytes() > 0);
         assert!(snap.warm_bytes() < snap.config().mem_size);
+    }
+
+    /// A guest whose ready marker sits inside a call, run to the marker
+    /// on `backend`: the machine to snapshot. Serving returns through a
+    /// call made before the snapshot.
+    fn warmed(backend: crate::BackendKind) -> Vm {
+        let mut p = Program::new();
+        p.code = vec![
+            Instr::new(Op::Jal, 0, 0, 0, 3),
+            Instr::r3(Op::Addu, A0, 10, 0), // pc 1: the return point
+            Instr::syscall(sys::EXIT),
+            Instr::li(8, 0x2000), // pc 3: the callee
+            Instr::li(9, 123),
+            Instr::mem(Op::Sd, 9, 8, 0),
+            Instr::new(Op::Break, 0, 0, 0, 0), // ready marker
+            Instr::mem(Op::Ld, 10, 8, 0),      // pc 7: resume
+            Instr::i2(Op::Addiu, 10, 10, 1),
+            Instr::new(Op::Bne, 0, 10, 0, 11), // to the return
+            Instr::new(Op::J, 0, 0, 0, 7),     // never taken
+            Instr::new(Op::Jr, 0, cheri_isa::RA, 0, 0),
+        ];
+        let mut vm = Vm::new(p, VmConfig::fpga().with_backend(backend));
+        let trap = vm.run(1_000_000).unwrap_err();
+        assert_eq!(trap.cause, TrapCause::Breakpoint);
+        vm.set_pc(trap.pc + 1);
+        vm
+    }
+
+    fn table_addr(vm: &Vm) -> usize {
+        vm.backend.as_ref().expect("backend attached").table_addr()
+    }
+
+    #[test]
+    fn forks_serve_from_the_shared_precompiled_table() {
+        for backend in crate::BackendKind::ALL {
+            let vm = warmed(backend);
+            let snap = vm.snapshot();
+            // The request path (pcs 7, 11 and the return point 1) was
+            // never run before the snapshot, yet the snapshot compiled it.
+            assert!(
+                snap.shell.compiled_blocks() > vm.compiled_blocks(),
+                "{backend:?}"
+            );
+            let mut fork = snap.fork();
+            let mut cold = vm.clone();
+            assert_eq!(fork.run(1_000).unwrap().code, 124, "{backend:?}");
+            assert_eq!(cold.run(1_000).unwrap().code, 124, "{backend:?}");
+            // Serving compiled nothing and linked nothing: the fork still
+            // shares the snapshot's table.
+            assert_eq!(
+                fork.compiled_blocks(),
+                snap.shell.compiled_blocks(),
+                "{backend:?}"
+            );
+            assert_eq!(table_addr(&fork), table_addr(&snap.shell), "{backend:?}");
+            // Op counts come from the fork's own counters and equal those
+            // of a machine that compiled on demand.
+            let (sf, sc) = (fork.stats(), cold.stats());
+            assert_eq!((sf.instret, sf.cycles), (sc.instret, sc.cycles));
+            for &op in Op::ALL {
+                assert_eq!(sf.op_count(op), sc.op_count(op), "{backend:?}: {op:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_forks_private_compile_leaves_snapshot_and_siblings_alone() {
+        for backend in crate::BackendKind::ALL {
+            let snap = warmed(backend).snapshot();
+            let blocks = snap.shell.compiled_blocks();
+            let sibling = snap.fork();
+            let mut fork = snap.fork();
+            // One instruction of fuel single-steps pc 7; resuming at pc 8
+            // enters a block no leader starts, so the fork compiles it
+            // into a private copy of the table.
+            assert_eq!(fork.run(1).unwrap_err().cause, TrapCause::OutOfFuel);
+            assert_eq!(fork.run(1_000).unwrap().code, 124, "{backend:?}");
+            assert_eq!(fork.compiled_blocks(), blocks + 1, "{backend:?}");
+            assert_ne!(table_addr(&fork), table_addr(&snap.shell));
+            // The snapshot and the sibling still share the original table,
+            // and the sibling serves from it unchanged.
+            assert_eq!(snap.shell.compiled_blocks(), blocks);
+            assert_eq!(table_addr(&sibling), table_addr(&snap.shell));
+            let mut sibling = sibling;
+            assert_eq!(sibling.run(1_000).unwrap().code, 124, "{backend:?}");
+            assert_eq!(sibling.compiled_blocks(), blocks);
+            let (sf, ss) = (fork.stats(), sibling.stats());
+            assert_eq!((sf.instret, sf.cycles), (ss.instret, ss.cycles));
+            for &op in Op::ALL {
+                assert_eq!(sf.op_count(op), ss.op_count(op), "{backend:?}: {op:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn undersized_memories_are_layout_errors() {
+        let prog = |data: usize| {
+            let mut p = Program::new();
+            p.code = vec![Instr::syscall(sys::EXIT)];
+            p.data = vec![1; data];
+            p
+        };
+        let cfg = VmConfig::functional();
+        assert!(matches!(
+            Vm::try_new(prog(16), cfg.with_mem_size(0x8000)),
+            Err(LayoutError::DataSegment { .. })
+        ));
+        assert!(matches!(
+            Vm::try_new(
+                prog(16),
+                VmConfig {
+                    stack_size: 8,
+                    ..cfg
+                }
+            ),
+            Err(LayoutError::Stack { .. })
+        ));
+        // The stack reservation reaches down past the data segment.
+        assert!(matches!(
+            Vm::try_new(prog(16), cfg.with_mem_size(cfg.stack_size + 0x1_0000)),
+            Err(LayoutError::NoHeap { .. })
+        ));
+        for mem in (12..=24).map(|p| 1u64 << p) {
+            let _ = Vm::try_new(prog(0x2000), cfg.with_mem_size(mem));
+        }
+        assert!(Vm::try_new(prog(16), cfg).is_ok());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use cheri::compile::{compile, Abi};
 use cheri::isa::Program;
-use cheri::sandbox::{guests, Request, SandboxService, TenantConfig};
+use cheri::sandbox::{guests, Outcome, Request, SandboxService, TenantConfig};
 use cheri::vm::{BackendKind, CapFormat, TrapCause, Vm, VmConfig, VmTrap};
 
 const TENANT_MEM: u64 = 4 << 20;
@@ -100,10 +100,14 @@ fn fork_matches_cold_boot_across_formats_and_backends() {
 
             inject(&mut forked, &prog, b"determinism");
             inject(&mut cold, &prog, b"determinism");
+            let precompiled = forked.compiled_blocks();
             let exit_forked = forked.run(u64::MAX).expect("forked guest completes");
             let exit_cold = cold.run(u64::MAX).expect("cold guest completes");
             assert_eq!(exit_forked.code, exit_cold.code, "{what}: exit code");
             assert_vms_identical(&forked, &cold, &format!("{what} after the request"));
+            // The snapshot compiled the whole request path: serving it
+            // compiled nothing more.
+            assert_eq!(forked.compiled_blocks(), precompiled, "{what}: compiles");
         }
     }
 }
@@ -131,7 +135,9 @@ fn trapping_fork_matches_trapping_cold_boot() {
             let mut cold = cold_boot(&prog, vm_cfg);
             inject(&mut forked, &prog, &[9, 1, 2]);
             inject(&mut cold, &prog, &[9, 1, 2]);
+            let precompiled = forked.compiled_blocks();
             let trap_forked = forked.run(u64::MAX).expect_err("forked guest traps");
+            assert_eq!(forked.compiled_blocks(), precompiled, "{what}: compiles");
             let trap_cold = cold.run(u64::MAX).expect_err("cold guest traps");
             assert_eq!(trap_forked.pc, trap_cold.pc, "{what}: trap pc");
             assert_eq!(trap_forked.cause, trap_cold.cause, "{what}: trap cause");
@@ -206,5 +212,106 @@ fn parallel_service_matches_serial_service() {
             serial, parallel,
             "responses must not depend on {workers}-worker interleaving"
         );
+    }
+}
+
+/// A 7-instruction quantum ends most slices inside a block, so the next
+/// slice enters at a pc no precompiled block starts at: the fork compiles
+/// it into a private copy of the shared block table. Served outcomes, and
+/// a fork stepped the same way, must still match a cold boot that runs
+/// the request in one go, on every backend and capability format.
+#[test]
+fn mid_block_slices_compile_privately_and_match_cold_boots() {
+    let fleet = [
+        ("tree", guests::tree_service(5), b"slices".to_vec()),
+        ("oob-ok", guests::oob_service(), vec![4, 1]),
+        ("oob-trap", guests::oob_service(), vec![9, 1]),
+    ];
+    for format in [CapFormat::Cap256, CapFormat::Cap128] {
+        for backend in BACKENDS {
+            for (name, source, payload) in &fleet {
+                let what = format!("{name} {format:?}/{backend:?}");
+                let vm_cfg = cfg(format, backend);
+                let prog = compile(source, Abi::CheriV3).unwrap();
+                let mut service = SandboxService::new();
+                let tenant = service
+                    .add_tenant(
+                        TenantConfig::new(name, source.clone(), Abi::CheriV3)
+                            .with_vm(vm_cfg)
+                            .with_fuel_slice(7),
+                    )
+                    .unwrap();
+
+                let mut cold = cold_boot(&prog, vm_cfg);
+                let (warm, warm_output) = (cold.stats(), cold.output().len());
+                inject(&mut cold, &prog, payload);
+                let cold_end = cold.run(u64::MAX);
+                let cold_output = String::from_utf8_lossy(&cold.output()[warm_output..]);
+
+                let served = service.serve(
+                    &[Request {
+                        tenant,
+                        payload: payload.clone(),
+                    }],
+                    1,
+                );
+                match (&cold_end, &served[0].outcome) {
+                    (
+                        Ok(exit),
+                        Outcome::Completed {
+                            exit: code,
+                            output,
+                            instret,
+                            cycles,
+                            slices,
+                            ..
+                        },
+                    ) => {
+                        assert_eq!(*code, exit.code, "{what}: exit code");
+                        assert_eq!(*output, cold_output, "{what}: output");
+                        assert_eq!(*instret, exit.stats.instret - warm.instret, "{what}");
+                        assert_eq!(*cycles, exit.stats.cycles - warm.cycles, "{what}");
+                        assert!(*slices > 1, "{what}: the request was sliced");
+                    }
+                    (
+                        Err(trap),
+                        Outcome::Trapped {
+                            trap: t, output, ..
+                        },
+                    ) => {
+                        assert_eq!((t.pc, t.cause), (trap.pc, trap.cause), "{what}: trap");
+                        assert_eq!(*output, cold_output, "{what}: output");
+                    }
+                    (cold_end, served) => panic!("{what}: cold {cold_end:?}, served {served:?}"),
+                }
+
+                let shared = service.fork_tenant(tenant).compiled_blocks();
+                let mut fork = service.fork_tenant(tenant);
+                inject(&mut fork, &prog, payload);
+                let fork_end = loop {
+                    match fork.run(7) {
+                        Err(VmTrap {
+                            cause: TrapCause::OutOfFuel,
+                            ..
+                        }) => {}
+                        end => break end,
+                    }
+                };
+                assert_eq!(
+                    fork_end.map(|s| s.code).map_err(|t| (t.pc, t.cause)),
+                    cold_end
+                        .as_ref()
+                        .map(|s| s.code)
+                        .map_err(|t| (t.pc, t.cause)),
+                    "{what}: fork end"
+                );
+                assert!(
+                    fork.compiled_blocks() > shared,
+                    "{what}: mid-block entries compile privately"
+                );
+                assert_eq!(service.fork_tenant(tenant).compiled_blocks(), shared);
+                assert_vms_identical(&fork, &cold, &what);
+            }
+        }
     }
 }
