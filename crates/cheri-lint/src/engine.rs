@@ -47,15 +47,178 @@ struct Cell {
     size: u64,
 }
 
+/// Tracked memory cells keyed by frame offset or virtual address: a `Vec`
+/// of `(key, cell)` pairs in strictly ascending key order. A state holds
+/// a handful of cells, so a binary search over one contiguous buffer beats
+/// a tree, and `clone_from` into a reused buffer needs no allocation.
+/// Inserting shifts the tail, but every transfer that inserts already
+/// scans all cells for overlaps.
+#[derive(Debug, PartialEq)]
+struct Cells<K>(Vec<(K, Cell)>);
+
+impl<K> Default for Cells<K> {
+    fn default() -> Self {
+        Cells(Vec::new())
+    }
+}
+
+impl<K: Clone> Clone for Cells<K> {
+    fn clone(&self) -> Self {
+        Cells(self.0.clone())
+    }
+
+    fn clone_from(&mut self, o: &Self) {
+        self.0.clone_from(&o.0);
+    }
+}
+
+impl<K: Ord + Copy> Cells<K> {
+    fn find(&self, k: K) -> Result<usize, usize> {
+        self.0.binary_search_by(|e| e.0.cmp(&k))
+    }
+
+    fn get(&self, k: &K) -> Option<&Cell> {
+        self.find(*k).ok().map(|i| &self.0[i].1)
+    }
+
+    fn get_mut(&mut self, k: &K) -> Option<&mut Cell> {
+        self.find(*k).ok().map(|i| &mut self.0[i].1)
+    }
+
+    /// Inserts or replaces the cell at `k`.
+    fn insert(&mut self, k: K, c: Cell) {
+        match self.find(k) {
+            Ok(i) => self.0[i].1 = c,
+            Err(i) => self.0.insert(i, (k, c)),
+        }
+    }
+
+    /// Inserts `c` at `k` unless a cell is already there.
+    fn or_insert(&mut self, k: K, c: Cell) {
+        if let Err(i) = self.find(k) {
+            self.0.insert(i, (k, c));
+        }
+    }
+
+    fn retain(&mut self, mut f: impl FnMut(&K, &mut Cell) -> bool) {
+        self.0.retain_mut(|(k, c)| f(k, c));
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&K, &Cell)> {
+        self.0.iter().map(|(k, c)| (k, c))
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = (&K, &mut Cell)> {
+        self.0.iter_mut().map(|(k, c)| (&*k, c))
+    }
+
+    /// Joins `o` into `self` cell by cell (see [`AbsState::join_into`]);
+    /// returns whether any cell was added, dropped or changed.
+    fn join_from(&mut self, o: &Cells<K>, widen: bool) -> bool {
+        let (mut changed, mut appended, mut dropped) = (false, false, false);
+        let n = self.0.len();
+        let mut j = 0;
+        // One merge walk over both key lists. Cells only `o` has are
+        // appended past the first `n` and sorted in afterwards.
+        for i in 0..n {
+            let k = self.0[i].0;
+            while let Some((ok, d)) = o.0.get(j).filter(|e| e.0 < k) {
+                self.0.push((*ok, degrade_cell(d)));
+                appended = true;
+                j += 1;
+            }
+            let c = &mut self.0[i].1;
+            let val = match o.0.get(j) {
+                Some((ok, d)) if *ok == k => {
+                    j += 1;
+                    if d.size != c.size {
+                        dropped = true;
+                        continue;
+                    }
+                    if widen {
+                        clamp_widened(c.val.widen(&d.val), c.size)
+                    } else {
+                        c.val.join(&d.val)
+                    }
+                }
+                _ => degrade(&c.val),
+            };
+            if val != c.val {
+                c.val = val;
+                changed = true;
+            }
+        }
+        for (ok, d) in &o.0[j..] {
+            self.0.push((*ok, degrade_cell(d)));
+            appended = true;
+        }
+        if dropped {
+            // Shared keys whose widths disagree leave the state.
+            self.0
+                .retain(|(k, c)| o.get(k).is_none_or(|d| d.size == c.size));
+        }
+        if appended {
+            self.0.sort_unstable_by_key(|e| e.0);
+        }
+        changed || appended || dropped
+    }
+}
+
+/// Widening shoots a grown bound to infinity, but a sub-word cell cannot
+/// hold more than its width: every store through it is value-converted.
+/// Clamping the widened range to the union of the signed and unsigned
+/// representable ranges keeps loop accumulators finite without guessing
+/// signedness.
+fn clamp_widened(val: AbsVal, size: u64) -> AbsVal {
+    if size >= 8 {
+        return val;
+    }
+    match val {
+        AbsVal::Int(mut i) => {
+            let bits = 8 * size as u32;
+            let bound = Interval::new(-(1i64 << (bits - 1)), (1i64 << bits) - 1);
+            if let Some(m) = i.range.meet(bound) {
+                i.range = m;
+            }
+            AbsVal::Int(i)
+        }
+        other => other,
+    }
+}
+
+/// A cell present on one path only joins with what the other path would
+/// read from the uninitialized slot: an unconstrained value. Joining
+/// (rather than dropping) keeps may-taint alive across the merge — a
+/// pointer byte-assembled inside a loop body must still read as stripped
+/// after the loop-head join.
+fn degrade(val: &AbsVal) -> AbsVal {
+    match val {
+        AbsVal::Int(i) => AbsVal::Int(i.join(&IntAbs::top())),
+        AbsVal::Ptr(p) => AbsVal::Ptr(p.join(&PtrAbs::assumed_param())),
+        other => other.clone(),
+    }
+}
+
+fn degrade_cell(c: &Cell) -> Cell {
+    Cell {
+        val: degrade(&c.val),
+        size: c.size,
+    }
+}
+
 /// The abstract machine state at one program point.
-#[derive(Clone, Debug, PartialEq, Default)]
+#[derive(Debug, PartialEq, Default)]
 struct AbsState {
     /// Operand stack, mirroring the interpreter's `vstack`.
     stack: Vec<AbsVal>,
     /// Tracked frame cells, keyed by frame offset.
-    locals: BTreeMap<u32, Cell>,
+    locals: Cells<u32>,
     /// Tracked global cells, keyed by virtual address.
-    globals: BTreeMap<u64, Cell>,
+    globals: Cells<u64>,
     /// Heap allocation sites (`Malloc` pcs) that may have been freed.
     freed: BTreeSet<usize>,
     /// Frame offsets of locals holding a NUL-terminated string
@@ -63,137 +226,48 @@ struct AbsState {
     str_locals: BTreeSet<u32>,
 }
 
+impl Clone for AbsState {
+    fn clone(&self) -> Self {
+        let mut st = AbsState::default();
+        st.clone_from(self);
+        st
+    }
+
+    /// Field by field, so a recycled state keeps its buffers.
+    fn clone_from(&mut self, o: &Self) {
+        self.stack.clone_from(&o.stack);
+        self.locals.clone_from(&o.locals);
+        self.globals.clone_from(&o.globals);
+        self.freed.clone_from(&o.freed);
+        self.str_locals.clone_from(&o.str_locals);
+    }
+}
+
 impl AbsState {
-    /// Joins `o` into `self`; returns `None` on irreconcilable stack
-    /// depths (the caller reports divergence).
-    fn join(&self, o: &AbsState, widen: bool) -> Option<AbsState> {
+    /// Joins `o` into `self` in place (widening at loop heads) and reports
+    /// whether `self` changed. Returns `None` and leaves `self` untouched
+    /// on irreconcilable stack depths (the caller reports divergence).
+    fn join_into(&mut self, o: &AbsState, widen: bool) -> Option<bool> {
         if self.stack.len() != o.stack.len() {
             return None;
         }
-        let stack = self
-            .stack
-            .iter()
-            .zip(&o.stack)
-            .map(|(a, b)| if widen { a.widen(b) } else { a.join(b) })
-            .collect();
-        // Widening shoots a grown bound to infinity, but a sub-word cell
-        // cannot hold more than its width: every store through it is
-        // value-converted. Clamping the widened range to the union of the
-        // signed and unsigned representable ranges keeps loop accumulators
-        // finite without guessing signedness.
-        let clamp = |val: AbsVal, size: u64| -> AbsVal {
-            if !widen || size >= 8 {
-                return val;
+        let mut changed = false;
+        for (a, b) in self.stack.iter_mut().zip(&o.stack) {
+            let v = if widen { a.widen(b) } else { a.join(b) };
+            if v != *a {
+                *a = v;
+                changed = true;
             }
-            match val {
-                AbsVal::Int(mut i) => {
-                    let bits = 8 * size as u32;
-                    let bound = Interval::new(-(1i64 << (bits - 1)), (1i64 << bits) - 1);
-                    if let Some(m) = i.range.meet(bound) {
-                        i.range = m;
-                    }
-                    AbsVal::Int(i)
-                }
-                other => other,
-            }
-        };
-        // A cell present on one path only joins with what the other path
-        // would read from the uninitialized slot: an unconstrained value.
-        // Joining (rather than dropping) keeps may-taint alive across the
-        // merge — a pointer byte-assembled inside a loop body must still
-        // read as stripped after the loop-head join.
-        let degrade = |val: &AbsVal| -> AbsVal {
-            match val {
-                AbsVal::Int(i) => AbsVal::Int(i.join(&IntAbs::top())),
-                AbsVal::Ptr(p) => AbsVal::Ptr(p.join(&PtrAbs::assumed_param())),
-                other => other.clone(),
-            }
-        };
-        let join_cells = |x: &BTreeMap<u32, Cell>, y: &BTreeMap<u32, Cell>| {
-            let mut out = BTreeMap::new();
-            for (k, c) in x {
-                match y.get(k) {
-                    Some(d) if d.size == c.size => {
-                        let val = if widen {
-                            clamp(c.val.widen(&d.val), c.size)
-                        } else {
-                            c.val.join(&d.val)
-                        };
-                        out.insert(*k, Cell { val, size: c.size });
-                    }
-                    Some(_) => {}
-                    None => {
-                        out.insert(
-                            *k,
-                            Cell {
-                                val: degrade(&c.val),
-                                size: c.size,
-                            },
-                        );
-                    }
-                }
-            }
-            for (k, d) in y {
-                if !x.contains_key(k) {
-                    out.insert(
-                        *k,
-                        Cell {
-                            val: degrade(&d.val),
-                            size: d.size,
-                        },
-                    );
-                }
-            }
-            out
-        };
-        let join_globals = |x: &BTreeMap<u64, Cell>, y: &BTreeMap<u64, Cell>| {
-            let mut out = BTreeMap::new();
-            for (k, c) in x {
-                match y.get(k) {
-                    Some(d) if d.size == c.size => {
-                        let val = if widen {
-                            clamp(c.val.widen(&d.val), c.size)
-                        } else {
-                            c.val.join(&d.val)
-                        };
-                        out.insert(*k, Cell { val, size: c.size });
-                    }
-                    Some(_) => {}
-                    None => {
-                        out.insert(
-                            *k,
-                            Cell {
-                                val: degrade(&c.val),
-                                size: c.size,
-                            },
-                        );
-                    }
-                }
-            }
-            for (k, d) in y {
-                if !x.contains_key(k) {
-                    out.insert(
-                        *k,
-                        Cell {
-                            val: degrade(&d.val),
-                            size: d.size,
-                        },
-                    );
-                }
-            }
-            out
-        };
-        Some(AbsState {
-            stack,
-            locals: join_cells(&self.locals, &o.locals),
-            globals: join_globals(&self.globals, &o.globals),
-            freed: self.freed.union(&o.freed).copied().collect(),
-            str_locals: self
-                .str_locals
-                .intersection(&o.str_locals)
-                .copied()
-                .collect(),
-        })
+        }
+        changed |= self.locals.join_from(&o.locals, widen);
+        changed |= self.globals.join_from(&o.globals, widen);
+        for &site in &o.freed {
+            changed |= self.freed.insert(site);
+        }
+        let before = self.str_locals.len();
+        self.str_locals.retain(|off| o.str_locals.contains(off));
+        changed |= self.str_locals.len() != before;
+        Some(changed)
     }
 }
 
@@ -245,7 +319,12 @@ struct Analyzer<'a> {
     /// (the only locals a call or wild store can reach).
     escaped: Vec<(u32, u64)>,
     /// Exit-state globals of the `<global-init>` pseudo-function.
-    init_globals: BTreeMap<u64, Cell>,
+    init_globals: Cells<u64>,
+    /// Spare states whose buffers the worklist reuses: block in-state
+    /// copies, taken-edge copies and out-states consumed by a join.
+    pool: Vec<AbsState>,
+    /// The out-state buffer `run_block` fills, reused across visits.
+    out: Vec<(usize, AbsState)>,
 }
 
 fn kind_key(kind: FindingKind) -> u8 {
@@ -333,7 +412,7 @@ impl<'a> Analyzer<'a> {
     }
 
     fn read_cells<K: Ord + Copy>(
-        cells: &BTreeMap<K, Cell>,
+        cells: &Cells<K>,
         key_off: impl Fn(K) -> i128,
         off: i128,
         size: u64,
@@ -342,7 +421,7 @@ impl<'a> Analyzer<'a> {
         // Exact hit: the common case.
         let mut out: Option<AbsVal> = None;
         let mut covered = false;
-        for (&k, c) in cells {
+        for (&k, c) in cells.iter() {
             let (clo, chi) = (key_off(k), key_off(k) + i128::from(c.size));
             if clo >= off + i128::from(size) || chi <= off {
                 continue;
@@ -398,22 +477,15 @@ impl<'a> Analyzer<'a> {
                 return;
             }
         }
-        // Remove/degrade overlapping cells, then insert.
+        // Degrade overlapping cells, then insert.
         let lo = i128::from(off);
         let hi = lo + i128::from(size);
-        let stale: Vec<u32> = st
-            .locals
-            .iter()
-            .filter(|(&k, c)| i128::from(k) < hi && i128::from(k) + i128::from(c.size) > lo)
-            .map(|(&k, _)| k)
-            .collect();
-        for k in stale {
-            let c = st.locals.get_mut(&k).expect("cell");
-            if i128::from(k) == lo && c.size == size {
-                continue;
+        for (&k, c) in st.locals.iter_mut() {
+            let (clo, chi) = (i128::from(k), i128::from(k) + i128::from(c.size));
+            if clo < hi && chi > lo && !(clo == lo && c.size == size) {
+                // Partial overlap: the old content is damaged byte-wise.
+                c.val = Self::partial_view(&c.val).join(&Self::partial_view(&val));
             }
-            // Partial overlap: the old content is damaged byte-wise.
-            c.val = Self::partial_view(&c.val).join(&Self::partial_view(&val));
         }
         st.locals.insert(off, Cell { val, size });
     }
@@ -428,18 +500,11 @@ impl<'a> Analyzer<'a> {
         }
         let lo = i128::from(addr);
         let hi = lo + i128::from(size);
-        let stale: Vec<u64> = st
-            .globals
-            .iter()
-            .filter(|(&k, c)| i128::from(k) < hi && i128::from(k) + i128::from(c.size) > lo)
-            .map(|(&k, _)| k)
-            .collect();
-        for k in stale {
-            let c = st.globals.get_mut(&k).expect("cell");
-            if i128::from(k) == lo && c.size == size {
-                continue;
+        for (&k, c) in st.globals.iter_mut() {
+            let (clo, chi) = (i128::from(k), i128::from(k) + i128::from(c.size));
+            if clo < hi && chi > lo && !(clo == lo && c.size == size) {
+                c.val = Self::partial_view(&c.val).join(&Self::partial_view(&val));
             }
-            c.val = Self::partial_view(&c.val).join(&Self::partial_view(&val));
         }
         st.globals.insert(addr, Cell { val, size });
     }
@@ -687,7 +752,7 @@ impl<'a> Analyzer<'a> {
         match p.region {
             Region::Stack { base } => {
                 let (lo, hi) = span(i128::from(base), p.size);
-                for (&k, c) in &st.locals {
+                for (&k, c) in st.locals.iter() {
                     if i128::from(k) < hi && i128::from(k) + i128::from(c.size) > lo {
                         acc = acc.join(&Self::partial_view(&c.val));
                     }
@@ -695,7 +760,7 @@ impl<'a> Analyzer<'a> {
             }
             Region::Global { base } => {
                 let (lo, hi) = span(i128::from(base), p.size);
-                for (&k, c) in &st.globals {
+                for (&k, c) in st.globals.iter() {
                     if i128::from(k) < hi && i128::from(k) + i128::from(c.size) > lo {
                         acc = acc.join(&Self::partial_view(&c.val));
                     }
@@ -718,25 +783,25 @@ impl<'a> Analyzer<'a> {
                 st.str_locals.remove(&base);
                 let lo = i128::from(base);
                 let hi = lo + i128::from(p.size.unwrap_or(1));
-                for (&k, c) in &mut st.locals {
+                for (&k, c) in st.locals.iter_mut() {
                     if i128::from(k) < hi && i128::from(k) + i128::from(c.size) > lo {
                         c.val = c.val.join(&pv);
                     }
                 }
                 if let Some(size) = p.size {
-                    st.locals.entry(base).or_insert(Cell { val: pv, size });
+                    st.locals.or_insert(base, Cell { val: pv, size });
                 }
             }
             Region::Global { base } => {
                 let lo = i128::from(base);
                 let hi = lo + i128::from(p.size.unwrap_or(1));
-                for (&k, c) in &mut st.globals {
+                for (&k, c) in st.globals.iter_mut() {
                     if i128::from(k) < hi && i128::from(k) + i128::from(c.size) > lo {
                         c.val = c.val.join(&pv);
                     }
                 }
                 if let Some(size) = p.size {
-                    st.globals.entry(base).or_insert(Cell { val: pv, size });
+                    st.globals.or_insert(base, Cell { val: pv, size });
                 }
             }
             Region::Heap { .. } | Region::Str { .. } | Region::Null => {}
@@ -914,23 +979,16 @@ fn taint_after(op: BinOp, mut t: Taint, on_left: bool, other: &IntAbs) -> Taint 
     t
 }
 
-/// Joins one Ret path's global image into the accumulated exit image.
-fn join_global_cells(a: BTreeMap<u64, Cell>, b: &BTreeMap<u64, Cell>) -> BTreeMap<u64, Cell> {
-    let mut out = BTreeMap::new();
-    for (k, c) in a {
-        if let Some(d) = b.get(&k) {
-            if d.size == c.size {
-                out.insert(
-                    k,
-                    Cell {
-                        val: c.val.join(&d.val),
-                        size: c.size,
-                    },
-                );
-            }
+/// Joins one Ret path's global image into the accumulated exit image:
+/// only cells both images hold at the same width survive.
+fn join_global_cells(a: &mut Cells<u64>, b: &Cells<u64>) {
+    a.retain(|k, c| match b.get(k) {
+        Some(d) if d.size == c.size => {
+            c.val = c.val.join(&d.val);
+            true
         }
-    }
-    out
+        _ => false,
+    });
 }
 
 /// Name of the function whose pc range contains `pc`: a binary search
@@ -1577,10 +1635,10 @@ impl<'a> Analyzer<'a> {
         for v in &mut st.stack {
             mark(v);
         }
-        for c in st.locals.values_mut() {
+        for (_, c) in st.locals.iter_mut() {
             mark(&mut c.val);
         }
-        for c in st.globals.values_mut() {
+        for (_, c) in st.globals.iter_mut() {
             mark(&mut c.val);
         }
     }
@@ -2074,29 +2132,34 @@ impl<'a> Analyzer<'a> {
 
     /// A conditional branch: `succs` is the block's successor list, the
     /// taken edge first, then the fall-through edge when there is one.
+    /// Pushes each feasible edge's state onto `out`.
     fn branch(
         &mut self,
         succs: &[usize],
         mut st: AbsState,
         zero_takes: bool,
-    ) -> Vec<(usize, AbsState)> {
+        out: &mut Vec<(usize, AbsState)>,
+    ) {
         let cond = st.stack.pop().unwrap_or(AbsVal::Bot);
-        let mut out = Vec::new();
         if let Some(&ti) = succs.first() {
-            let mut ts = st.clone();
+            let mut ts = self.pool.pop().unwrap_or_default();
+            ts.clone_from(&st);
             if Self::refine(&mut ts, &cond, !zero_takes) {
                 out.push((ti, ts));
+            } else {
+                self.pool.push(ts);
             }
         }
         if let Some(&fi) = succs.get(1) {
             if Self::refine(&mut st, &cond, zero_takes) {
                 out.push((fi, st));
+                return;
             }
         }
-        out
+        self.pool.push(st);
     }
 
-    /// Runs block `bi` and returns its out-states, following the
+    /// Runs block `bi` and pushes its out-states onto `out`, following the
     /// successor edges [`Cfg::build`] recorded for the block's terminator.
     /// A `Ret` joins its globals into `exit_globals` when one is given.
     fn run_block(
@@ -2104,40 +2167,44 @@ impl<'a> Analyzer<'a> {
         cfg: &Cfg,
         bi: usize,
         mut st: AbsState,
-        exit_globals: Option<&mut Option<BTreeMap<u64, Cell>>>,
-    ) -> Vec<(usize, AbsState)> {
+        exit_globals: Option<&mut Option<Cells<u64>>>,
+        out: &mut Vec<(usize, AbsState)>,
+    ) {
         let block = &cfg.blocks[bi];
         let prog = self.prog;
         for pc in block.start..block.end {
             match &prog.code[pc] {
-                Op::JumpIfZero { .. } => return self.branch(&block.succs, st, true),
-                Op::JumpIfNonZero { .. } => return self.branch(&block.succs, st, false),
+                Op::JumpIfZero { .. } => return self.branch(&block.succs, st, true, out),
+                Op::JumpIfNonZero { .. } => return self.branch(&block.succs, st, false, out),
                 Op::Ret { has_value } => {
                     if *has_value {
                         st.stack.pop();
                     }
                     if let Some(exit) = exit_globals {
-                        *exit = Some(match exit.take() {
-                            None => st.globals,
+                        match exit {
+                            None => *exit = Some(std::mem::take(&mut st.globals)),
                             Some(g) => join_global_cells(g, &st.globals),
-                        });
+                        }
                     }
-                    return vec![];
+                    self.pool.push(st);
+                    return;
                 }
                 // An unconditional jump, like falling off the block, has
                 // at most one successor.
                 Op::Jump { .. } => break,
                 op => match self.exec(pc, op, &mut st) {
                     Flow::Next => {}
-                    Flow::Dead => return vec![],
+                    Flow::Dead => {
+                        self.pool.push(st);
+                        return;
+                    }
                 },
             }
         }
-        block
-            .succs
-            .first()
-            .map(|&s| vec![(s, st)])
-            .unwrap_or_default()
+        match block.succs.first() {
+            Some(&s) => out.push((s, st)),
+            None => self.pool.push(st),
+        }
     }
 
     fn entry_state(&self, fid: u32) -> AbsState {
@@ -2204,7 +2271,8 @@ impl<'a> Analyzer<'a> {
         // Only `<global-init>`'s exit globals are read (they seed every
         // other function's entry state), so only its returns collect them.
         let is_init = fid == self.prog.init_fid;
-        let mut exit_globals: Option<BTreeMap<u64, Cell>> = None;
+        let mut exit_globals: Option<Cells<u64>> = None;
+        let mut out = std::mem::take(&mut self.out);
         while let Some(bi) = work.pop_front() {
             queued[bi] = false;
             visits += 1;
@@ -2212,35 +2280,35 @@ impl<'a> Analyzer<'a> {
                 self.add(entry, FindingKind::Diverged, ModelSet::everything());
                 break;
             }
-            let Some(in_st) = ins[bi].clone() else {
+            let Some(in_st) = &ins[bi] else {
                 continue;
             };
-            for (succ, out_st) in
-                self.run_block(&cfg, bi, in_st, is_init.then_some(&mut exit_globals))
-            {
+            let mut st = self.pool.pop().unwrap_or_default();
+            st.clone_from(in_st);
+            self.run_block(&cfg, bi, st, is_init.then_some(&mut exit_globals), &mut out);
+            for (succ, out_st) in out.drain(..) {
                 let widen = cfg.blocks[succ].is_loop_head && joins[succ] >= 2;
-                let merged = match &ins[succ] {
-                    None => out_st,
-                    Some(old) => match old.join(&out_st, widen) {
-                        None => {
-                            // Irregular stack depths across a join: give up
-                            // on this function rather than guess.
-                            self.add(
-                                cfg.blocks[succ].start,
-                                FindingKind::Diverged,
-                                ModelSet::everything(),
-                            );
-                            continue;
-                        }
-                        Some(m) => {
-                            if &m == old {
+                match &mut ins[succ] {
+                    slot @ None => *slot = Some(out_st),
+                    Some(old) => {
+                        let changed = old.join_into(&out_st, widen);
+                        self.pool.push(out_st);
+                        match changed {
+                            Some(true) => {}
+                            Some(false) => continue,
+                            None => {
+                                // Irregular stack depths across a join: give
+                                // up on this function rather than guess.
+                                self.add(
+                                    cfg.blocks[succ].start,
+                                    FindingKind::Diverged,
+                                    ModelSet::everything(),
+                                );
                                 continue;
                             }
-                            m
                         }
-                    },
-                };
-                ins[succ] = Some(merged);
+                    }
+                }
                 joins[succ] += 1;
                 if !queued[succ] {
                     queued[succ] = true;
@@ -2248,6 +2316,8 @@ impl<'a> Analyzer<'a> {
                 }
             }
         }
+        self.out = out;
+        self.pool.extend(ins.into_iter().flatten());
         if is_init {
             if let Some(g) = exit_globals {
                 self.init_globals = g;
@@ -2269,7 +2339,9 @@ pub fn analyze_ir(prog: &IrProgram, structs: &[StructDef], cheri: Option<&IrProg
         findings: BTreeMap::new(),
         func: String::new(),
         escaped: Vec::new(),
-        init_globals: BTreeMap::new(),
+        init_globals: Cells::default(),
+        pool: Vec::new(),
+        out: Vec::new(),
     };
     // The init pseudo-function first: its exit globals seed main's entry.
     a.analyze_fn(prog.init_fid);
@@ -2305,6 +2377,9 @@ pub fn analyze_ir(prog: &IrProgram, structs: &[StructDef], cheri: Option<&IrProg
         funcs: prog.funcs.iter().map(|f| f.name.clone()).collect(),
     }
 }
+
+#[cfg(test)]
+mod state_tests;
 
 #[cfg(test)]
 mod tests {
