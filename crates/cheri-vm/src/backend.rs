@@ -41,7 +41,7 @@
 
 use crate::config::{BackendKind, OptLevel, VmConfig};
 use crate::ir::{Block, BlockExit, FlatOp};
-use crate::machine::{ExitStatus, Vm};
+use crate::machine::Vm;
 use crate::opt;
 use crate::trap::{TrapCause, VmTrap};
 use cheri_isa::{Instr, Op};
@@ -54,8 +54,10 @@ use std::sync::Arc;
 pub(crate) trait ExecBackend: fmt::Debug + Send + Sync {
     /// Which backend this is (bench/driver labelling).
     fn kind(&self) -> BackendKind;
-    /// Runs `vm` for at most `fuel` retired instructions.
-    fn run(&mut self, vm: &mut Vm, fuel: u64) -> Result<ExitStatus, VmTrap>;
+    /// Runs `vm` for at most `fuel` retired instructions, returning the
+    /// exit code. [`Vm::run`] syncs the cache model and builds the
+    /// [`crate::ExitStatus`].
+    fn run(&mut self, vm: &mut Vm, fuel: u64) -> Result<i64, VmTrap>;
     /// Folds this backend's block execution counters (histogram × execs)
     /// into `counts`, completing the per-op retirement statistics.
     fn add_op_counts(&self, counts: &mut [u64]);
@@ -267,14 +269,11 @@ impl<R: BlockRepr> Engine<R> {
     /// The dispatch loop. Mirrors the pre-backend `Vm::run`/`run_block`
     /// pair decision for decision; the chain loop inside only hops when
     /// the outer loop would have dispatched the successor block whole.
-    fn run_loop(&mut self, vm: &mut Vm, fuel: u64) -> Result<ExitStatus, VmTrap> {
+    fn run_loop(&mut self, vm: &mut Vm, fuel: u64) -> Result<i64, VmTrap> {
         let mut remaining = fuel;
         loop {
             if let Some(code) = vm.halted {
-                return Ok(ExitStatus {
-                    code,
-                    stats: vm.stats_with(&*self),
-                });
+                return Ok(code);
             }
             if remaining == 0 {
                 break;
@@ -292,7 +291,7 @@ impl<R: BlockRepr> Engine<R> {
                 // (narrowed) PCC window cuts it short: single-step, which
                 // re-checks the window per instruction and traps exactly
                 // where the interpreter would.
-                vm.step()?;
+                vm.step_unsynced()?;
                 remaining -= 1;
                 continue;
             }
@@ -384,7 +383,7 @@ impl<R: BlockRepr> ExecBackend for Engine<R> {
         self.kind
     }
 
-    fn run(&mut self, vm: &mut Vm, fuel: u64) -> Result<ExitStatus, VmTrap> {
+    fn run(&mut self, vm: &mut Vm, fuel: u64) -> Result<i64, VmTrap> {
         self.run_loop(vm, fuel)
     }
 
@@ -940,8 +939,8 @@ mod tests {
             },
             cfg,
         );
-        let exit = backend.run(&mut vm, 1_000).expect("fallback runs");
-        assert_eq!(exit.code, 42);
+        let code = backend.run(&mut vm, 1_000).expect("fallback runs");
+        assert_eq!(code, 42);
     }
 
     #[cfg(not(all(target_arch = "x86_64", target_os = "linux", not(miri))))]

@@ -41,8 +41,10 @@ use std::arch::asm;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-/// The "this block trapped" return value. Never a valid pc: pcs are
-/// indices into the decoded code image.
+/// The "this block trapped" return value. A guest can also jump to this
+/// pc (it then traps on the next fetch), so [`NativeBody::exec`] tells a
+/// trap from a jump by the parked cause; the value only short-circuits
+/// the rest of a block after a trampolined op.
 pub(super) const SENTINEL: u64 = u64::MAX;
 
 /// `TrapCtx::inline_cause` value for an inline overflow trap (the only
@@ -421,13 +423,15 @@ impl BlockRepr for NativeBody {
             let regs = &raw mut (*vm_ptr).regs;
             f(regs.cast::<u64>(), vm_ptr, &mut ctx)
         };
-        if next != SENTINEL {
-            Ok(next)
-        } else if ctx.inline_cause == INLINE_OVERFLOW {
+        // Whether the block trapped is decided by the parked cause, not by
+        // the return value: a guest control transfer to pc `u64::MAX`
+        // returns the sentinel's value as a genuine next pc.
+        if ctx.inline_cause == INLINE_OVERFLOW {
             Err((ctx.trap_pc, TrapCause::IntegerOverflow))
-        } else {
-            let cause = ctx.cause.expect("shim parked a cause before the sentinel");
+        } else if let Some(cause) = ctx.cause {
             Err((ctx.trap_pc, cause))
+        } else {
+            Ok(next)
         }
     }
 }

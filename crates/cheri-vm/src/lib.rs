@@ -41,6 +41,7 @@ mod config;
 mod ir;
 mod machine;
 mod opt;
+mod timing;
 mod trap;
 
 pub use config::{BackendKind, OptLevel, VmConfig, NULL_GUARD_SIZE};

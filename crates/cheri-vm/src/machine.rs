@@ -4,6 +4,7 @@ use crate::backend::{new_backend, ExecBackend};
 use crate::config::{VmConfig, NULL_GUARD_SIZE};
 use crate::ir::FlatOp;
 use crate::sys;
+use crate::timing::CacheTiming;
 use crate::trap::{TrapCause, VmTrap};
 use cheri_cache::{CacheStats, Hierarchy, SharedHierarchy};
 #[cfg(test)]
@@ -185,7 +186,10 @@ pub struct Vm {
     pcc: Capability,
     pub(crate) pc: u64,
     mem: TaggedMemory,
-    cache: Option<Hierarchy>,
+    /// The cache model, fed by deferred access records; see
+    /// [`crate::timing`]. `cycles` excludes the charges it has not folded
+    /// in yet, which is none outside `run`.
+    cache: Option<CacheTiming>,
     heap: Allocator,
     pub(crate) cycles: u64,
     pub(crate) instret: u64,
@@ -302,7 +306,7 @@ impl Vm {
             caps,
             pcc,
             mem,
-            cache: cfg.cache.map(Hierarchy::new),
+            cache: cfg.cache.map(|c| CacheTiming::new(Hierarchy::new(c))),
             heap,
             cycles: 0,
             instret: 0,
@@ -400,23 +404,13 @@ impl Vm {
         if let Some(b) = &self.backend {
             b.add_op_counts(&mut op_counts);
         }
-        self.finish_stats(op_counts)
-    }
-
-    /// `stats` while the backend is detached (lent to [`Vm::run`]).
-    pub(crate) fn stats_with(&self, backend: &dyn ExecBackend) -> VmStats {
-        let mut op_counts = self.op_counts.clone();
-        backend.add_op_counts(&mut op_counts);
-        self.finish_stats(op_counts)
-    }
-
-    fn finish_stats(&self, op_counts: Vec<u64>) -> VmStats {
+        let cache = self.cache.as_ref().map(|c| c.hierarchy().stats());
         VmStats {
             instret: self.instret,
             cycles: self.cycles,
-            cache: self.cache.as_ref().map(|c| c.stats()),
+            fetch_cycles: cache.as_ref().map_or(0, |c| c.fetch.cycles),
+            cache,
             fetch_checks: self.fetch_checks,
-            fetch_cycles: self.cache.as_ref().map_or(0, |c| c.stats().fetch.cycles),
             compression: (self.cfg.cap_format == CapFormat::Cap128)
                 .then(|| self.mem.compression_stats()),
             op_counts,
@@ -499,7 +493,37 @@ impl Vm {
         let mut backend = self.backend.take().expect("backend present outside of run");
         let result = backend.run(self, fuel);
         self.backend = Some(backend);
-        result
+        // Every exit — exit, trap, out of fuel — syncs the cache model
+        // before anything reads the statistics.
+        self.sync_timing();
+        result.map(|code| ExitStatus {
+            code,
+            stats: self.stats(),
+        })
+    }
+
+    /// Drains the deferred cache-model records and folds their charges
+    /// into `cycles`; see [`crate::timing`].
+    fn sync_timing(&mut self) {
+        if let Some(t) = &mut self.cache {
+            self.cycles += t.sync();
+        }
+    }
+
+    /// Makes the machine sync its cache model after every access: the
+    /// inline model, as a test oracle for the deferred one.
+    #[cfg(test)]
+    pub(crate) fn set_eager_timing(&mut self) {
+        if let Some(t) = &mut self.cache {
+            t.eager = true;
+        }
+    }
+
+    #[cfg(test)]
+    fn sync_if_eager(&mut self) {
+        if self.cache.as_ref().is_some_and(|t| t.eager) {
+            self.sync_timing();
+        }
     }
 
     /// Retires one instruction's statistics — base cycles, instruction
@@ -523,12 +547,21 @@ impl Vm {
         }
     }
 
-    /// Executes one instruction.
+    /// Executes one instruction, then syncs the cache model, so
+    /// [`Vm::stats`] is exact between steps.
     ///
     /// # Errors
     ///
     /// Any [`VmTrap`] the instruction raises.
     pub fn step(&mut self) -> Result<(), VmTrap> {
+        let result = self.step_unsynced();
+        self.sync_timing();
+        result
+    }
+
+    /// [`Vm::step`] without the cache-model sync, for the backends inside
+    /// [`Vm::run`], which syncs on exit.
+    pub(crate) fn step_unsynced(&mut self) -> Result<(), VmTrap> {
         let pc = self.pc;
         let instr = self.fetch(pc)?;
         self.charge_fetch(pc, 1);
@@ -592,14 +625,14 @@ impl Vm {
     #[inline]
     fn charge_mem(&mut self, addr: u64, len: u64, write: bool) {
         match &mut self.cache {
-            Some(h) => {
-                // Issue at the VM's own clock so the hierarchy's burst
-                // windows see compute gaps between accesses (a no-op under
-                // the serialized mshrs=1 model).
-                self.cycles += h.access_at(self.cycles, addr, len, write);
-            }
+            // Issue at the VM's own clock so the hierarchy's burst windows
+            // see compute gaps between accesses (a no-op under the
+            // serialized mshrs=1 model). The charge lands at the next sync.
+            Some(t) => t.data(self.cycles, addr, len, write),
             None => self.cycles += 1,
         }
+        #[cfg(test)]
+        self.sync_if_eager();
     }
 
     /// Charges one instruction-fetch transaction for `words` instructions
@@ -610,9 +643,11 @@ impl Vm {
         if !self.cfg.fetch_charging {
             return;
         }
-        if let Some(h) = &mut self.cache {
-            self.cycles += h.access_fetch(self.cycles, pc.wrapping_mul(8), words * 8);
+        if let Some(t) = &mut self.cache {
+            t.fetch(self.cycles, pc.wrapping_mul(8), words * 8);
         }
+        #[cfg(test)]
+        self.sync_if_eager();
     }
 
     /// Attaches this machine's cache hierarchy (one simulated core) to
@@ -620,8 +655,8 @@ impl Vm {
     /// [`cheri_cache::Hierarchy::attach_shared`]. No-op on cache-less
     /// configs.
     pub fn attach_shared_hierarchy(&mut self, shared: SharedHierarchy) {
-        if let Some(h) = &mut self.cache {
-            h.attach_shared(shared);
+        if let Some(t) = &mut self.cache {
+            t.attach_shared(shared);
         }
     }
 
@@ -1265,6 +1300,8 @@ impl Vm {
                 Ok(())
             }
             sys::CLOCK => {
+                // The guest reads the clock: fold in the pending charges.
+                self.sync_timing();
                 self.set_reg(cheri_isa::V0, self.cycles);
                 Ok(())
             }
@@ -2245,8 +2282,8 @@ mod tests {
             if let Some(h) = &blocked.cache {
                 // CacheStats equality covers the per-edge traffic ledger.
                 assert_eq!(
-                    h.stats(),
-                    stepped.cache.as_ref().unwrap().stats(),
+                    h.hierarchy().stats(),
+                    stepped.cache.as_ref().unwrap().hierarchy().stats(),
                     "{name}: cache stats diverged"
                 );
             }

@@ -375,6 +375,55 @@ fn assembly_traps_identical_across_matrix() {
     }
 }
 
+/// Control transfers to pc `u64::MAX`, the value the native tier's block
+/// bodies once returned to mean "trapped": a direct jump, a taken branch
+/// and a register jump. Every matrix cell must treat it as a genuine pc
+/// and trap on the next fetch, exactly like the reference oracle.
+#[test]
+fn jumps_to_the_last_pc_trap_identically_across_matrix() {
+    use cheri::isa::Instr;
+    use cheri::vm::TrapCause;
+    let programs = [
+        ("j @-1", vec![Instr::new(Op::J, 0, 0, 0, -1)]),
+        (
+            "beq zero, zero, @-1",
+            vec![Instr::new(Op::Beq, 0, 0, 0, -1)],
+        ),
+        (
+            "addiu t0, zero, -1; jr t0",
+            vec![
+                Instr::i2(Op::Addiu, 8, 0, -1),
+                Instr::new(Op::Jr, 0, 8, 0, 0),
+            ],
+        ),
+    ];
+    for (name, code) in programs {
+        let mut prog = Program::new();
+        prog.code = code;
+        for format in [CapFormat::Cap256, CapFormat::Cap128] {
+            let base = VmConfig::fpga().with_cap_format(format);
+            let oracle = fingerprint(
+                &prog,
+                base.with_backend(BackendKind::Reference)
+                    .with_opt_level(OptLevel::None),
+            );
+            let pc = u64::MAX;
+            assert_eq!(
+                oracle.outcome,
+                Err(VmTrap {
+                    pc,
+                    cause: TrapCause::PccBounds { pc }
+                }),
+                "{name}"
+            );
+            for (backend, opt) in matrix() {
+                let got = fingerprint(&prog, base.with_backend(backend).with_opt_level(opt));
+                assert_eq!(got, oracle, "{name}/{format:?}/{backend:?}/{opt:?}");
+            }
+        }
+    }
+}
+
 /// Hand-built `CLC`/`CSC` blocks that trap on every cause the capability
 /// load/store path checks, in the order it checks them: untagged, sealed,
 /// missing `LOAD_CAP`/`STORE_CAP`, below and above bounds, misaligned, and
