@@ -72,29 +72,21 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // The backend ladder on the same counted loop: chaining removes the
-    // per-iteration dispatch lookup, the template tier removes the
-    // per-op decode match, and the native tier removes the per-op call
-    // through a closure by emitting the block as host machine code. All
-    // run the peephole pass (the default), so the loop body is also
-    // compare-and-branch fused.
-    for (name, backend) in [
-        ("vm_block_chained_4k", BackendKind::Chained),
-        ("vm_template_backend_4k", BackendKind::Template),
-        ("vm_native_backend_4k", BackendKind::Native),
-    ] {
-        let cfg = VmConfig::functional()
-            .with_backend(backend)
-            .with_opt_level(OptLevel::Peephole);
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                let mut vm = Vm::new(loop_prog.clone(), cfg);
-                let status = vm.run(1 << 20).unwrap();
-                assert_eq!(status.stats.fetch_checks, 1);
-                status.stats.instret
-            })
-        });
-    }
+    // The template tier on the same counted loop: chaining removes the
+    // per-iteration dispatch lookup and pre-bound handlers remove the
+    // per-op decode match. It runs the peephole pass (the default), so
+    // the loop body is also compare-and-branch fused.
+    let template = VmConfig::functional()
+        .with_backend(BackendKind::Template)
+        .with_opt_level(OptLevel::Peephole);
+    g.bench_function("vm_template_backend_4k", |b| {
+        b.iter(|| {
+            let mut vm = Vm::new(loop_prog.clone(), template);
+            let status = vm.run(1 << 20).unwrap();
+            assert_eq!(status.stats.fetch_checks, 1);
+            status.stats.instret
+        })
+    });
 
     let cap = Capability::new_mem(0x1000, 0x1000, Perms::data());
     g.bench_function("cap_inc_offset", |b| {

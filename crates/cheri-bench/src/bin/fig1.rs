@@ -1,8 +1,8 @@
 //! Regenerates Figure 1: Olden runtimes under the three ABIs.
 //!
 //! Usage: `fig1 [scale] [backend] [fetch]` where `backend` is one of
-//! `reference`, `chained`, `template` or `native` (default: the machine
-//! default, template). Simulated cycles are backend-invariant; the choice
+//! `reference` or `template` (default: the machine default,
+//! template). Simulated cycles are backend-invariant; the choice
 //! only changes host wall-clock time. Passing the literal word `fetch`
 //! turns on per-block instruction-fetch charging (a new cycle era;
 //! columns gain the fetch share). An unknown backend name prints the

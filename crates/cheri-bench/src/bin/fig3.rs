@@ -1,8 +1,8 @@
 //! Regenerates Figure 3: tcpdump trace-processing time under the three ABIs.
 //!
 //! Usage: `fig3 [packets] [backend] [fetch]` where `backend` is one of
-//! `reference`, `chained`, `template` or `native` (default: the machine
-//! default, template). Passing the literal word `fetch` turns on
+//! `reference` or `template` (default: the machine default,
+//! template). Passing the literal word `fetch` turns on
 //! per-block instruction-fetch charging (a new cycle era; columns gain
 //! the fetch share). An unknown backend name prints the valid names and
 //! exits non-zero.

@@ -1,8 +1,7 @@
 //! Regenerates Figure 4: zlib overhead vs file size, two CHERI configs.
 //!
-//! Usage: `fig4 [backend]` where `backend` is one of `reference`,
-//! `chained`, `template` or `native` (default: the machine default,
-//! template). Simulated cycles are backend-invariant; the choice only
+//! Usage: `fig4 [backend]` where `backend` is one of `reference` or
+//! `template` (default: the machine default, template). Simulated cycles are backend-invariant; the choice only
 //! changes host wall-clock time. An unknown backend name prints the
 //! valid names and exits non-zero.
 fn main() {

@@ -5,8 +5,8 @@
 //! model, both formats, 64B and 16B L1 lines).
 //!
 //! Usage: `table4 [backend] [contention]` where `backend` is one of
-//! `reference`, `chained`, `template` or `native` (default: the machine
-//! default, template). Simulated cycles are backend-invariant; the choice
+//! `reference` or `template` (default: the machine default,
+//! template). Simulated cycles are backend-invariant; the choice
 //! only changes host wall-clock time. Passing the literal word
 //! `contention` appends the shared-L2 multi-core contention report
 //! (1/2/4/8 cores, both formats). An unknown backend name prints the

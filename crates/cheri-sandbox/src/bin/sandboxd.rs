@@ -4,8 +4,9 @@
 //! plus aggregate throughput.
 //!
 //! Usage: `sandboxd [requests] [tenants] [workers] [backend]` with
-//! `backend` one of `reference`, `chained`, `template` (default: the
-//! machine default, template). Passing the literal word `shared`
+//! `backend` one of `reference` or `template` (default: the machine
+//! default, template); an unknown backend name prints the valid names
+//! and exits with code 2. Passing the literal word `shared`
 //! anywhere switches the fleet onto cache-modelled machines (the FPGA
 //! soft-core geometry) arbitrating one shared memory system, and adds
 //! per-tenant contention columns to the report.
@@ -121,8 +122,14 @@ fn main() {
     let tenants: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(8);
     let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(2);
     let backend = args.next().map(|name| {
-        BackendKind::from_name(&name)
-            .unwrap_or_else(|| panic!("unknown backend {name:?} (reference|chained|template)"))
+        BackendKind::from_name(&name).unwrap_or_else(|| {
+            let names: Vec<&str> = BackendKind::ALL.iter().map(|k| k.name()).collect();
+            eprintln!(
+                "unknown backend {name:?}; valid backends: {}",
+                names.join("|")
+            );
+            std::process::exit(2);
+        })
     });
 
     let fleet = tenant_fleet(tenants, backend, shared);

@@ -3,21 +3,20 @@
 //! A backend owns the compiled-block cache and the dispatch loop; the
 //! [`crate::Vm`] owns the architectural state (registers, memory, PCC,
 //! statistics) and hands itself to the backend for the duration of
-//! [`crate::Vm::run`]. All backends are instances of one generic
+//! [`crate::Vm::run`]. Both backends are instances of one generic
 //! [`Engine`] parameterised by a [`BlockRepr`] — what a compiled block
 //! *is* — plus a chaining switch:
 //!
-//! * [`BackendKind::Reference`] — `Engine<InterpBody>`, no chaining: the
-//!   superinstruction interpreter exactly as before this refactor, and
-//!   the semantics every other backend is differenced against.
-//! * [`BackendKind::Chained`] — the same body, but a block whose terminal
-//!   is a direct branch or jump transfers straight to the already-compiled
-//!   successor (a memoized slot on the block) without re-entering the
-//!   outer dispatch loop.
+//! * [`BackendKind::Reference`] — `Engine<InterpBody>`, no chaining: each
+//!   block's micro-ops run through [`Vm::exec_flat`], one block per
+//!   dispatch. The semantics the template tier is differenced against.
 //! * [`BackendKind::Template`] — `Engine<TemplateBody>` with chaining:
 //!   each micro-op is pre-bound at compile time to a monomorphized
 //!   handler function, so the per-op dispatch is an indirect call on
-//!   pre-extracted operands instead of a match over [`FlatOp`].
+//!   pre-extracted operands instead of a match over [`FlatOp`]; a block
+//!   whose terminal is a direct branch or jump transfers straight to the
+//!   already-compiled successor (a memoized slot on the block) without
+//!   re-entering the outer dispatch loop.
 //!
 //! The compiled-block table is immutable once a machine is snapshotted,
 //! so an engine holds it behind an [`Arc`]: a clone (a snapshot's fork)
@@ -52,8 +51,6 @@ use std::sync::Arc;
 /// until exit, trap, or fuel exhaustion. Exactly the contract
 /// [`crate::Vm::run`] had before backends were pluggable.
 pub(crate) trait ExecBackend: fmt::Debug + Send + Sync {
-    /// Which backend this is (bench/driver labelling).
-    fn kind(&self) -> BackendKind;
     /// Runs `vm` for at most `fuel` retired instructions, returning the
     /// exit code. [`Vm::run`] syncs the cache model and builds the
     /// [`crate::ExitStatus`].
@@ -79,50 +76,14 @@ pub(crate) trait ExecBackend: fmt::Debug + Send + Sync {
 pub(crate) fn new_backend(cfg: &VmConfig, code_len: usize) -> Box<dyn ExecBackend> {
     match cfg.backend {
         BackendKind::Reference => Box::new(Engine::<InterpBody>::new(cfg, false, code_len)),
-        BackendKind::Chained => Box::new(Engine::<InterpBody>::new(cfg, true, code_len)),
         BackendKind::Template => Box::new(Engine::<TemplateBody>::new(cfg, true, code_len)),
-        BackendKind::Native => new_native(cfg, code_len),
     }
-}
-
-/// The native tier, or its fallback where the emitter cannot target the
-/// host (non-x86-64, non-Linux, miri).
-fn new_native(cfg: &VmConfig, code_len: usize) -> Box<dyn ExecBackend> {
-    #[cfg(all(target_arch = "x86_64", target_os = "linux", not(miri)))]
-    if crate::codegen::supported() {
-        return Box::new(Engine::<crate::codegen::NativeBody>::new(
-            cfg, true, code_len,
-        ));
-    }
-    native_fallback(cfg, code_len)
-}
-
-/// The template tier running under the `Native` label — results are
-/// bit-identical (that is the whole point of the differential matrix), so
-/// every suite and driver stays green on hosts without the JIT. Logs a
-/// note once per process so the substitution is never silent.
-fn native_fallback(cfg: &VmConfig, code_len: usize) -> Box<dyn ExecBackend> {
-    static NOTE: std::sync::Once = std::sync::Once::new();
-    NOTE.call_once(|| {
-        eprintln!(
-            "cheri-vm: the native backend has no emitter for this host; \
-             running the template tier under the `native` label"
-        );
-    });
-    Box::new(Engine::<TemplateBody>::new(cfg, true, code_len))
 }
 
 /// What a compiled block is to a particular backend.
 pub(crate) trait BlockRepr: Clone + fmt::Debug + Send + Sync + 'static {
-    /// Per-engine compilation context, threaded into every `compile`.
-    /// `()` for the interpreted tiers; the native tier's executable
-    /// [`crate::codegen`] code buffer. Cloning a context must yield a
-    /// context fit for an *independent* engine clone (the native buffer
-    /// seals itself and hands the clone an empty one).
-    type Cx: Default + Clone + fmt::Debug + Send + Sync;
-    /// Compiles the (possibly peephole-rewritten) micro-ops of the block
-    /// entered at `start`.
-    fn compile(ops: &[FlatOp], start: u64, cx: &Self::Cx) -> Self;
+    /// Compiles the (possibly peephole-rewritten) micro-ops of a block.
+    fn compile(ops: &[FlatOp]) -> Self;
     /// Executes the block body entered at `entry`. `Ok` is the next pc
     /// after the terminal; `Err` carries the pc of the trapping op so the
     /// engine can unwind the hoisted statistics positionally.
@@ -163,11 +124,8 @@ struct Table<R> {
 /// with optional block chaining.
 #[derive(Clone, Debug)]
 pub(crate) struct Engine<R: BlockRepr> {
-    kind: BackendKind,
     chain: bool,
     opt: OptLevel,
-    /// Per-engine compile context (the native tier's code buffer).
-    cx: R::Cx,
     /// Shared by clones; copied on the first write after a clone.
     table: Arc<Table<R>>,
     /// Completed executions per block (partial executions account their
@@ -186,10 +144,8 @@ pub(crate) struct Engine<R: BlockRepr> {
 impl<R: BlockRepr> Engine<R> {
     fn new(cfg: &VmConfig, chain: bool, code_len: usize) -> Engine<R> {
         Engine {
-            kind: cfg.backend,
             chain,
             opt: cfg.opt,
-            cx: R::Cx::default(),
             table: Arc::new(Table {
                 index: vec![u32::MAX; code_len],
                 blocks: Vec::new(),
@@ -234,7 +190,7 @@ impl<R: BlockRepr> Engine<R> {
         if self.opt == OptLevel::Peephole {
             opt::peephole(&mut block);
         }
-        let body = R::compile(&block.ops, block.start, &self.cx);
+        let body = R::compile(&block.ops);
         let table = Arc::make_mut(&mut self.table);
         let id = table.blocks.len() as u32;
         table.blocks.push(Compiled {
@@ -379,10 +335,6 @@ impl<R: BlockRepr> Engine<R> {
 }
 
 impl<R: BlockRepr> ExecBackend for Engine<R> {
-    fn kind(&self) -> BackendKind {
-        self.kind
-    }
-
     fn run(&mut self, vm: &mut Vm, fuel: u64) -> Result<i64, VmTrap> {
         self.run_loop(vm, fuel)
     }
@@ -452,14 +404,12 @@ impl<R: BlockRepr> ExecBackend for Engine<R> {
 }
 
 /// The reference block body: the flattened micro-ops, executed through
-/// the interpreter's `exec_flat` match.
+/// the machine's `exec_flat` match.
 #[derive(Clone, Debug)]
 pub(crate) struct InterpBody(Box<[FlatOp]>);
 
 impl BlockRepr for InterpBody {
-    type Cx = ();
-
-    fn compile(ops: &[FlatOp], _start: u64, _cx: &()) -> InterpBody {
+    fn compile(ops: &[FlatOp]) -> InterpBody {
         InterpBody(ops.into())
     }
 
@@ -486,7 +436,7 @@ type Handler = fn(&mut Vm, &TOp, u64, &mut Option<TrapCause>) -> Option<u64>;
 /// A templated op: handler pointer plus its operands, unpacked once at
 /// block compile time. `a`/`b`/`c` are the destination and source
 /// register indices (or the width, for memory ops); the long tail keeps
-/// the original [`FlatOp`] and goes through the interpreter arm.
+/// the original [`FlatOp`] and goes through `exec_flat`.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct TOp {
     run: Handler,
@@ -503,9 +453,7 @@ pub(crate) struct TOp {
 pub(crate) struct TemplateBody(Box<[TOp]>);
 
 impl BlockRepr for TemplateBody {
-    type Cx = ();
-
-    fn compile(ops: &[FlatOp], _start: u64, _cx: &()) -> TemplateBody {
+    fn compile(ops: &[FlatOp]) -> TemplateBody {
         TemplateBody(ops.iter().map(bind).collect())
     }
 
@@ -604,38 +552,6 @@ fn h_li(vm: &mut Vm, t: &TOp, pc: u64, _: &mut Option<TrapCause>) -> Option<u64>
     Some(pc + 1)
 }
 
-/// Trapping signed arithmetic (§3.1.1): writes `v`, or traps on the
-/// overflow `None` stands for.
-#[inline(always)]
-fn overflow_checked(
-    vm: &mut Vm,
-    t: &TOp,
-    pc: u64,
-    v: Option<i64>,
-    trap: &mut Option<TrapCause>,
-) -> Option<u64> {
-    let r = v.ok_or(TrapCause::IntegerOverflow).map(|v| {
-        vm.set_reg(t.a, v as u64);
-        pc + 1
-    });
-    settle(r, trap)
-}
-
-fn h_add(vm: &mut Vm, t: &TOp, pc: u64, trap: &mut Option<TrapCause>) -> Option<u64> {
-    let v = (vm.reg(t.b) as i64).checked_add(vm.reg(t.c) as i64);
-    overflow_checked(vm, t, pc, v, trap)
-}
-
-fn h_sub(vm: &mut Vm, t: &TOp, pc: u64, trap: &mut Option<TrapCause>) -> Option<u64> {
-    let v = (vm.reg(t.b) as i64).checked_sub(vm.reg(t.c) as i64);
-    overflow_checked(vm, t, pc, v, trap)
-}
-
-fn h_addi(vm: &mut Vm, t: &TOp, pc: u64, trap: &mut Option<TrapCause>) -> Option<u64> {
-    let v = (vm.reg(t.b) as i64).checked_add(t.imm);
-    overflow_checked(vm, t, pc, v, trap)
-}
-
 fn h_j(_vm: &mut Vm, t: &TOp, _pc: u64, _: &mut Option<TrapCause>) -> Option<u64> {
     Some(t.target)
 }
@@ -712,9 +628,9 @@ fn h_fused<const SIGNED: bool, const IMM: bool, const IF: bool>(
     Some(if (v != 0) == IF { t.target } else { pc + 2 })
 }
 
-/// The long tail — the remaining capability ops and `Other` — goes
-/// through the interpreter's own arm, which keeps every capability/trap
-/// decision in exactly one place.
+/// The long tail — the remaining capability ops, division, syscalls and
+/// capability jumps — goes through `exec_flat`, which keeps every
+/// capability/trap decision in exactly one place.
 fn h_flat(vm: &mut Vm, t: &TOp, pc: u64, trap: &mut Option<TrapCause>) -> Option<u64> {
     settle(vm.exec_flat(&t.flat, pc), trap)
 }
@@ -742,9 +658,6 @@ fn bind(op: &FlatOp) -> TOp {
     }
     match *op {
         FlatOp::Nop => set!(h_nop, 0, 0, 0, 0, 0),
-        FlatOp::Add { rd, rs, rt } => set!(h_add, rd, rs, rt, 0, 0),
-        FlatOp::Sub { rd, rs, rt } => set!(h_sub, rd, rs, rt, 0, 0),
-        FlatOp::Addi { rd, rs, imm } => set!(h_addi, rd, rs, 0, imm, 0),
         FlatOp::Addu { rd, rs, rt } => set!(h_addu, rd, rs, rt, 0, 0),
         FlatOp::Subu { rd, rs, rt } => set!(h_subu, rd, rs, rt, 0, 0),
         FlatOp::And { rd, rs, rt } => set!(h_and, rd, rs, rt, 0, 0),
@@ -757,9 +670,9 @@ fn bind(op: &FlatOp) -> TOp {
         FlatOp::Srlv { rd, rs, rt } => set!(h_srlv, rd, rs, rt, 0, 0),
         FlatOp::Srav { rd, rs, rt } => set!(h_srav, rd, rs, rt, 0, 0),
         FlatOp::Mul { rd, rs, rt } => set!(h_mul, rd, rs, rt, 0, 0),
-        // Div/Divu/Rem/Remu stay on the interpreter arm: they are rare in
-        // compiled code and their two-cause trap logic is not worth a
-        // second copy.
+        // The trapping arithmetic (add/sub/addi, div/divu/rem/remu)
+        // stays on `exec_flat`: the compiler emits the wrapping forms, and
+        // a trap decision is not worth a second copy.
         FlatOp::Addiu { rd, rs, imm } => set!(h_addiu, rd, rs, 0, imm as i64, 0),
         FlatOp::Andi { rd, rs, imm } => set!(h_andi, rd, rs, 0, imm as i64, 0),
         FlatOp::Ori { rd, rs, imm } => set!(h_ori, rd, rs, 0, imm as i64, 0),
@@ -834,7 +747,7 @@ fn bind(op: &FlatOp) -> TOp {
         }
         FlatOp::Clc { cd, cb, off } => set!(h_clc, cd, cb, 0, i64::from(off), 0),
         FlatOp::Csc { cs, cb, off } => set!(h_csc, cs, cb, 0, i64::from(off), 0),
-        // The other capability ops and the `Other` long tail keep `h_flat`.
+        // The other capability ops and the long tail keep `h_flat`.
         _ => {}
     }
     t
@@ -908,48 +821,5 @@ mod tests {
         e.add_op_counts(&mut counts);
         assert_eq!(counts[Op::Li as usize], 4);
         assert_eq!(counts[Op::Beq as usize], 2);
-    }
-
-    #[test]
-    fn backend_kinds_round_trip_through_the_factory() {
-        for kind in BackendKind::ALL {
-            let cfg = VmConfig::functional().with_backend(kind);
-            assert_eq!(new_backend(&cfg, 4).kind(), kind);
-        }
-    }
-
-    #[test]
-    fn native_fallback_reports_the_native_label_and_runs() {
-        // The explicit fallback engine — what `Native` builds on hosts
-        // without the emitter (and the path the non-x86_64 cfg of
-        // `new_native` always takes). It must report the configured kind,
-        // not its template substrate, and execute correctly.
-        let cfg = VmConfig::functional().with_backend(BackendKind::Native);
-        let mut backend = native_fallback(&cfg, 4);
-        assert_eq!(backend.kind(), BackendKind::Native);
-        let mut vm = crate::machine::Vm::new(
-            {
-                let mut p = cheri_isa::Program::new();
-                p.code = vec![
-                    Instr::li(4, 41),
-                    Instr::i2(Op::Addiu, 4, 4, 1),
-                    Instr::syscall(0),
-                ];
-                p
-            },
-            cfg,
-        );
-        let code = backend.run(&mut vm, 1_000).expect("fallback runs");
-        assert_eq!(code, 42);
-    }
-
-    #[cfg(not(all(target_arch = "x86_64", target_os = "linux", not(miri))))]
-    #[test]
-    fn native_backend_falls_back_where_unsupported() {
-        assert!(!crate::codegen::supported());
-        let cfg = VmConfig::functional().with_backend(BackendKind::Native);
-        // The factory silently substitutes the template tier but keeps
-        // the `Native` label for drivers and stats.
-        assert_eq!(new_backend(&cfg, 4).kind(), BackendKind::Native);
     }
 }

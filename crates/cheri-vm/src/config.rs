@@ -9,45 +9,30 @@ use cheri_mem::UnrepresentablePolicy;
 /// makes null-pointer dereferences crash on conventional machines.
 pub const NULL_GUARD_SIZE: u64 = 0x1000;
 
-/// Which execution backend drives [`crate::Vm::run`]. Every backend is
+/// Which execution backend drives [`crate::Vm::run`]. Both backends are
 /// bit-identical in architectural state and statistics (simulated cycles,
 /// traps, `fetch_checks`, the traffic ledger); they differ only in host
 /// wall-clock speed. See the README's "Execution backends" section.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// The basic-block superinstruction interpreter, one block per
-    /// dispatch — the reference semantics every other backend is
-    /// differenced against.
+    /// dispatch — the reference the template tier is differenced against.
     Reference,
-    /// The block interpreter with block chaining: a direct branch/jump
-    /// terminal transfers straight to the already-compiled successor.
-    Chained,
     /// The template tier: each micro-op pre-bound to a monomorphized
-    /// handler at block compile time, plus chaining.
+    /// handler at block compile time, and a direct branch/jump terminal
+    /// chained straight to the already-compiled successor.
     Template,
-    /// The native tier: each block JIT-compiled to host machine code in a
-    /// W^X buffer (x86-64 only; other hosts silently run the template
-    /// tier under this label), plus chaining. Capability ops, memory ops
-    /// and syscalls trampoline into the interpreter.
-    Native,
 }
 
 impl BackendKind {
     /// All backends, reference first (differential-suite order).
-    pub const ALL: [BackendKind; 4] = [
-        BackendKind::Reference,
-        BackendKind::Chained,
-        BackendKind::Template,
-        BackendKind::Native,
-    ];
+    pub const ALL: [BackendKind; 2] = [BackendKind::Reference, BackendKind::Template];
 
     /// Driver-facing name (`fig1 -- <scale> template`).
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Reference => "reference",
-            BackendKind::Chained => "chained",
             BackendKind::Template => "template",
-            BackendKind::Native => "native",
         }
     }
 
@@ -88,7 +73,7 @@ pub struct VmConfig {
     /// What a Cap128 capability store does when the capability is not
     /// representable (ignored under [`CapFormat::Cap256`]).
     pub cap128_policy: UnrepresentablePolicy,
-    /// Which execution backend drives the machine. All backends are
+    /// Which execution backend drives the machine. Both backends are
     /// bit-identical in everything but host speed.
     pub backend: BackendKind,
     /// IR optimization level applied when blocks are compiled.
@@ -246,6 +231,7 @@ mod tests {
         for k in BackendKind::ALL {
             assert_eq!(BackendKind::from_name(k.name()), Some(k));
         }
-        assert_eq!(BackendKind::from_name("jit"), None);
+        assert_eq!(BackendKind::from_name("native"), None);
+        assert_eq!(BackendKind::from_name("chained"), None);
     }
 }

@@ -13,8 +13,8 @@
 //! backend needs — the micro-ops, the raw opcode array and histogram for
 //! statistics reconstruction, the hoisted base-cycle sum, and a
 //! [`BlockExit`] describing the static successor targets (which the
-//! chained drivers use to jump block-to-block without re-entering the
-//! dispatch match). The [`crate::opt`] peephole pass rewrites `ops` in
+//! template tier's chaining uses to jump block-to-block without
+//! re-entering the dispatch match). The [`crate::opt`] peephole pass rewrites `ops` in
 //! place; `raw`, `hist` and `base_cycles` always describe the *source*
 //! instructions, which is what keeps retirement counts and cycle charges
 //! bit-identical whether or not a rewrite fired.
@@ -41,9 +41,10 @@
 
 use cheri_isa::{CmpOp, ControlKind, Instr, Op};
 
-/// One flattened micro-op. Field meanings mirror `machine::Vm::execute_at`
-/// arm for arm; the flattening only moves operand decoding to build time.
-/// [`FlatOp::FusedCmpBranch`] is the one op with no 1:1 source
+/// One flattened micro-op: every opcode has its own variant, with its
+/// operands decoded at build time. `machine::Vm::exec_flat` is the one
+/// place that gives them meaning, for block bodies and single steps
+/// alike. [`FlatOp::FusedCmpBranch`] is the one op with no 1:1 source
 /// instruction: the peephole pass synthesises it from a compare + branch
 /// pair (see [`crate::opt`]).
 #[derive(Clone, Copy, Debug)]
@@ -353,14 +354,52 @@ pub(crate) enum FlatOp {
         cb: u8,
         ct: u8,
     },
-    /// The long tail (syscall, break, sealing, capability jumps, …)
-    /// falls back to the interpreter's `execute_at`.
-    Other(Instr),
+    // The long tail: effects, the CHERIv2 bounds ops, pointer
+    // derivation, sealing and the PCC-writing capability jumps.
+    Syscall {
+        n: i32,
+    },
+    Break,
+    CIncBase {
+        cd: u8,
+        cb: u8,
+        rt: u8,
+    },
+    CSetLen {
+        cd: u8,
+        cb: u8,
+        rt: u8,
+    },
+    CFromPtr {
+        cd: u8,
+        cb: u8,
+        rt: u8,
+    },
+    CSeal {
+        cd: u8,
+        cb: u8,
+        ct: u8,
+    },
+    CUnseal {
+        cd: u8,
+        cb: u8,
+        ct: u8,
+    },
+    CJr {
+        cb: u8,
+    },
+    CJalr {
+        cd: u8,
+        cb: u8,
+    },
+    CGetPcc {
+        cd: u8,
+    },
 }
 
-/// Flattens one predecoded instruction. The extensions/masks here must
-/// match `execute_at` exactly — the differential and bit-identity tests
-/// hold the two dispatchers to the same answers.
+/// Flattens one predecoded instruction: sign/zero extensions, shift masks
+/// and selector decoding happen here, once, for every backend and for
+/// single-stepping.
 pub(crate) fn flatten(i: Instr) -> FlatOp {
     let (rd, rs, rt, imm) = (i.rd, i.rs, i.rt, i.imm);
     let simm = imm as i64;
@@ -516,16 +555,24 @@ pub(crate) fn flatten(i: Instr) -> FlatOp {
             sel: CmpOp::from_u8(imm as u8).expect("validated at decode"),
         },
         Op::CToPtr => FlatOp::CToPtr { rd, cb: rs, ct: rt },
-        Op::Syscall
-        | Op::Break
-        | Op::CIncBase
-        | Op::CSetLen
-        | Op::CFromPtr
-        | Op::CSeal
-        | Op::CUnseal
-        | Op::CJr
-        | Op::CJalr
-        | Op::CGetPcc => FlatOp::Other(i),
+        Op::Syscall => FlatOp::Syscall { n: imm },
+        Op::Break => FlatOp::Break,
+        Op::CIncBase => FlatOp::CIncBase { cd: rd, cb: rs, rt },
+        Op::CSetLen => FlatOp::CSetLen { cd: rd, cb: rs, rt },
+        Op::CFromPtr => FlatOp::CFromPtr { cd: rd, cb: rs, rt },
+        Op::CSeal => FlatOp::CSeal {
+            cd: rd,
+            cb: rs,
+            ct: rt,
+        },
+        Op::CUnseal => FlatOp::CUnseal {
+            cd: rd,
+            cb: rs,
+            ct: rt,
+        },
+        Op::CJr => FlatOp::CJr { cb: rs },
+        Op::CJalr => FlatOp::CJalr { cd: rd, cb: rs },
+        Op::CGetPcc => FlatOp::CGetPcc { cd: rd },
     }
 }
 
@@ -551,7 +598,7 @@ fn store(i: Instr, width: u8, via_cap: bool) -> FlatOp {
 }
 
 /// A block's successor structure, derived from its terminal's
-/// [`ControlKind`]. Chained drivers follow [`BlockExit::Branch`] and
+/// [`ControlKind`]. A chaining engine follows [`BlockExit::Branch`] and
 /// [`BlockExit::Jump`] edges directly; everything else returns to the
 /// dispatch loop (indirect targets are dynamic, capability jumps
 /// invalidate the fetch window, effects may halt, and a clipped block
@@ -762,6 +809,9 @@ mod tests {
                 ..
             }
         ));
-        assert!(matches!(flatten(Instr::syscall(3)), FlatOp::Other(_)));
+        assert!(matches!(
+            flatten(Instr::syscall(3)),
+            FlatOp::Syscall { n: 3 }
+        ));
     }
 }

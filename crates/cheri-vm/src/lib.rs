@@ -35,11 +35,14 @@
 //! assert_eq!(exit.code, 42);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod backend;
-mod codegen;
 mod config;
 mod ir;
 mod machine;
+#[cfg(test)]
+mod op_table;
 mod opt;
 mod timing;
 mod trap;

@@ -2,7 +2,7 @@
 
 use crate::backend::{new_backend, ExecBackend};
 use crate::config::{VmConfig, NULL_GUARD_SIZE};
-use crate::ir::FlatOp;
+use crate::ir::{flatten, FlatOp};
 use crate::sys;
 use crate::timing::CacheTiming;
 use crate::trap::{TrapCause, VmTrap};
@@ -424,14 +424,6 @@ impl Vm {
         self.backend.as_ref().map_or(0, |b| b.compiled_blocks())
     }
 
-    /// Which execution backend this machine is configured with.
-    pub fn backend_kind(&self) -> crate::BackendKind {
-        match &self.backend {
-            Some(b) => b.kind(),
-            None => self.cfg.backend,
-        }
-    }
-
     /// Captures the machine's complete state — registers, capabilities,
     /// PCC/pc, heap, cache and traffic ledger, statistics, console output,
     /// compiled-block cache, and the memory's warm footprint — as a
@@ -566,7 +558,7 @@ impl Vm {
         let instr = self.fetch(pc)?;
         self.charge_fetch(pc, 1);
         self.retire_one(instr.op);
-        match self.execute_at(instr, pc) {
+        match self.exec_flat(&flatten(instr), pc) {
             Ok(next) => {
                 self.pc = next;
                 self.regs[0] = 0;
@@ -616,7 +608,7 @@ impl Vm {
     }
 
     /// Writes the PCC and invalidates the cached fetch window.
-    fn set_pcc(&mut self, cap: Capability) {
+    pub(crate) fn set_pcc(&mut self, cap: Capability) {
         self.pcc = cap;
         self.run_start = 0;
         self.run_end = 0;
@@ -702,280 +694,11 @@ impl Vm {
         Ok(())
     }
 
-    #[allow(clippy::too_many_lines)]
-    fn execute_at(&mut self, i: Instr, pc: u64) -> Result<u64, TrapCause> {
-        let next = pc + 1;
-        let (rd, rs, rt) = (i.rd, i.rs, i.rt);
-        let imm = i.imm;
-        let simm = imm as i64;
-        macro_rules! alu {
-            ($v:expr) => {{
-                let v = $v;
-                self.set_reg(rd, v);
-                Ok(next)
-            }};
-        }
-        match i.op {
-            Op::Nop => Ok(next),
-            Op::Break => Err(TrapCause::Breakpoint),
-            Op::Syscall => self.syscall(imm).map(|()| next),
-
-            // Trapping signed arithmetic (§3.1.1).
-            Op::Add => {
-                let v = (self.reg(rs) as i64)
-                    .checked_add(self.reg(rt) as i64)
-                    .ok_or(TrapCause::IntegerOverflow)?;
-                alu!(v as u64)
-            }
-            Op::Sub => {
-                let v = (self.reg(rs) as i64)
-                    .checked_sub(self.reg(rt) as i64)
-                    .ok_or(TrapCause::IntegerOverflow)?;
-                alu!(v as u64)
-            }
-            Op::Addi => {
-                let v = (self.reg(rs) as i64)
-                    .checked_add(simm)
-                    .ok_or(TrapCause::IntegerOverflow)?;
-                alu!(v as u64)
-            }
-
-            Op::Addu => alu!(self.reg(rs).wrapping_add(self.reg(rt))),
-            Op::Subu => alu!(self.reg(rs).wrapping_sub(self.reg(rt))),
-            Op::And => alu!(self.reg(rs) & self.reg(rt)),
-            Op::Or => alu!(self.reg(rs) | self.reg(rt)),
-            Op::Xor => alu!(self.reg(rs) ^ self.reg(rt)),
-            Op::Nor => alu!(!(self.reg(rs) | self.reg(rt))),
-            Op::Slt => alu!(u64::from((self.reg(rs) as i64) < (self.reg(rt) as i64))),
-            Op::Sltu => alu!(u64::from(self.reg(rs) < self.reg(rt))),
-            Op::Sllv => alu!(self.reg(rs) << (self.reg(rt) & 63)),
-            Op::Srlv => alu!(self.reg(rs) >> (self.reg(rt) & 63)),
-            Op::Srav => alu!(((self.reg(rs) as i64) >> (self.reg(rt) & 63)) as u64),
-            Op::Mul => alu!(self.reg(rs).wrapping_mul(self.reg(rt))),
-            Op::Div => {
-                let (a, b) = (self.reg(rs) as i64, self.reg(rt) as i64);
-                if b == 0 {
-                    return Err(TrapCause::DivideByZero);
-                }
-                let v = a.checked_div(b).ok_or(TrapCause::IntegerOverflow)?;
-                alu!(v as u64)
-            }
-            Op::Divu => {
-                let b = self.reg(rt);
-                if b == 0 {
-                    return Err(TrapCause::DivideByZero);
-                }
-                alu!(self.reg(rs) / b)
-            }
-            Op::Rem => {
-                let (a, b) = (self.reg(rs) as i64, self.reg(rt) as i64);
-                if b == 0 {
-                    return Err(TrapCause::DivideByZero);
-                }
-                let v = a.checked_rem(b).ok_or(TrapCause::IntegerOverflow)?;
-                alu!(v as u64)
-            }
-            Op::Remu => {
-                let b = self.reg(rt);
-                if b == 0 {
-                    return Err(TrapCause::DivideByZero);
-                }
-                alu!(self.reg(rs) % b)
-            }
-
-            Op::Addiu => alu!(self.reg(rs).wrapping_add(simm as u64)),
-            Op::Andi => alu!(self.reg(rs) & (imm as u32 as u64)),
-            Op::Ori => alu!(self.reg(rs) | (imm as u32 as u64)),
-            Op::Xori => alu!(self.reg(rs) ^ (imm as u32 as u64)),
-            Op::Slti => alu!(u64::from((self.reg(rs) as i64) < simm)),
-            Op::Sltiu => alu!(u64::from(self.reg(rs) < simm as u64)),
-            Op::Lui => alu!((simm << 16) as u64),
-            Op::Li => alu!(simm as u64),
-            Op::Sll => alu!(self.reg(rs) << (imm as u32 & 63)),
-            Op::Srl => alu!(self.reg(rs) >> (imm as u32 & 63)),
-            Op::Sra => alu!(((self.reg(rs) as i64) >> (imm as u32 & 63)) as u64),
-
-            Op::Beq => Ok(if self.reg(rs) == self.reg(rt) {
-                imm as u64
-            } else {
-                next
-            }),
-            Op::Bne => Ok(if self.reg(rs) != self.reg(rt) {
-                imm as u64
-            } else {
-                next
-            }),
-            Op::Blez => Ok(if self.reg(rs) as i64 <= 0 {
-                imm as u64
-            } else {
-                next
-            }),
-            Op::Bgtz => Ok(if self.reg(rs) as i64 > 0 {
-                imm as u64
-            } else {
-                next
-            }),
-            Op::Bltz => Ok(if (self.reg(rs) as i64) < 0 {
-                imm as u64
-            } else {
-                next
-            }),
-            Op::Bgez => Ok(if self.reg(rs) as i64 >= 0 {
-                imm as u64
-            } else {
-                next
-            }),
-
-            Op::J => Ok(imm as u64),
-            Op::Jal => {
-                self.set_reg(cheri_isa::RA, next);
-                Ok(imm as u64)
-            }
-            Op::Jr => Ok(self.reg(rs)),
-            Op::Jalr => {
-                // Read the target before writing the link: `jalr r, r`
-                // must jump to the register's old value.
-                let target = self.reg(rs);
-                self.set_reg(rd, next);
-                Ok(target)
-            }
-
-            Op::Lb => self.exec_load(rd, rs, imm, 1, true, false).map(|_| next),
-            Op::Lbu => self.exec_load(rd, rs, imm, 1, false, false).map(|_| next),
-            Op::Lh => self.exec_load(rd, rs, imm, 2, true, false).map(|_| next),
-            Op::Lhu => self.exec_load(rd, rs, imm, 2, false, false).map(|_| next),
-            Op::Lw => self.exec_load(rd, rs, imm, 4, true, false).map(|_| next),
-            Op::Lwu => self.exec_load(rd, rs, imm, 4, false, false).map(|_| next),
-            Op::Ld => self.exec_load(rd, rs, imm, 8, false, false).map(|_| next),
-            Op::Sb => self.exec_store(rd, rs, imm, 1, false).map(|_| next),
-            Op::Sh => self.exec_store(rd, rs, imm, 2, false).map(|_| next),
-            Op::Sw => self.exec_store(rd, rs, imm, 4, false).map(|_| next),
-            Op::Sd => self.exec_store(rd, rs, imm, 8, false).map(|_| next),
-
-            Op::Clb => self.exec_load(rd, rs, imm, 1, true, true).map(|_| next),
-            Op::Clbu => self.exec_load(rd, rs, imm, 1, false, true).map(|_| next),
-            Op::Clh => self.exec_load(rd, rs, imm, 2, true, true).map(|_| next),
-            Op::Clhu => self.exec_load(rd, rs, imm, 2, false, true).map(|_| next),
-            Op::Clw => self.exec_load(rd, rs, imm, 4, true, true).map(|_| next),
-            Op::Clwu => self.exec_load(rd, rs, imm, 4, false, true).map(|_| next),
-            Op::Cld => self.exec_load(rd, rs, imm, 8, false, true).map(|_| next),
-            Op::Csb => self.exec_store(rd, rs, imm, 1, true).map(|_| next),
-            Op::Csh => self.exec_store(rd, rs, imm, 2, true).map(|_| next),
-            Op::Csw => self.exec_store(rd, rs, imm, 4, true).map(|_| next),
-            Op::Csd => self.exec_store(rd, rs, imm, 8, true).map(|_| next),
-
-            Op::Clc => self.exec_clc(rd, rs, imm).map(|()| next),
-            Op::Csc => self.exec_csc(rd, rs, imm).map(|()| next),
-
-            Op::CIncBase => {
-                self.caps[rd as usize] = self.caps[rs as usize].inc_base(self.reg(rt))?;
-                Ok(next)
-            }
-            Op::CSetLen => {
-                self.caps[rd as usize] = self.caps[rs as usize].set_length(self.reg(rt))?;
-                Ok(next)
-            }
-            Op::CAndPerm => {
-                self.caps[rd as usize] =
-                    self.caps[rs as usize].and_perms(Perms::from_bits(self.reg(rt) as u16))?;
-                Ok(next)
-            }
-            Op::CIncOffset => {
-                self.caps[rd as usize] = self.caps[rs as usize].inc_offset(self.reg(rt) as i64)?;
-                Ok(next)
-            }
-            Op::CIncOffsetImm => {
-                self.caps[rd as usize] = self.caps[rs as usize].inc_offset(simm)?;
-                Ok(next)
-            }
-            Op::CSetOffset => {
-                self.caps[rd as usize] = self.caps[rs as usize].set_offset(self.reg(rt))?;
-                Ok(next)
-            }
-            Op::CSetBounds => {
-                self.caps[rd as usize] = self.caps[rs as usize].set_bounds(self.reg(rt))?;
-                Ok(next)
-            }
-            Op::CClearTag => {
-                self.caps[rd as usize] = self.caps[rs as usize].clear_tag();
-                Ok(next)
-            }
-            Op::CMove => {
-                self.caps[rd as usize] = self.caps[rs as usize];
-                Ok(next)
-            }
-            Op::CGetBase => alu!(self.caps[rs as usize].base()),
-            Op::CGetLen => alu!(self.caps[rs as usize].length()),
-            Op::CGetOffset => alu!(self.caps[rs as usize].offset()),
-            Op::CGetPerm => alu!(self.caps[rs as usize].perms().bits() as u64),
-            Op::CGetTag => alu!(u64::from(self.caps[rs as usize].tag())),
-            Op::CPtrCmp => {
-                let r = ptr_cmp(&self.caps[rs as usize], &self.caps[rt as usize]);
-                let sel = CmpOp::from_u8(imm as u8).expect("validated at decode");
-                let v = match sel {
-                    CmpOp::Eq => r.ordering == Ordering::Equal,
-                    CmpOp::Ne => r.ordering != Ordering::Equal,
-                    CmpOp::Lt | CmpOp::Ltu => r.ordering == Ordering::Less,
-                    CmpOp::Le | CmpOp::Leu => r.ordering != Ordering::Greater,
-                };
-                alu!(u64::from(v))
-            }
-            Op::CFromPtr => {
-                self.caps[rd as usize] =
-                    Capability::from_ptr(&self.caps[rs as usize], self.reg(rt))?;
-                Ok(next)
-            }
-            Op::CToPtr => {
-                alu!(self.caps[rs as usize].to_ptr(&self.caps[rt as usize]))
-            }
-            Op::CSeal => {
-                self.caps[rd as usize] = self.caps[rs as usize].seal(&self.caps[rt as usize])?;
-                Ok(next)
-            }
-            Op::CUnseal => {
-                self.caps[rd as usize] = self.caps[rs as usize].unseal(&self.caps[rt as usize])?;
-                Ok(next)
-            }
-            Op::CJr => {
-                let target = self.caps[rs as usize];
-                let addr = target.check_access(8, Perms::EXECUTE)?;
-                if addr % 8 != 0 {
-                    return Err(TrapCause::PccMisaligned { addr });
-                }
-                self.set_pcc(target);
-                Ok(addr / 8)
-            }
-            Op::CJalr => {
-                let target = self.caps[rs as usize];
-                let addr = target.check_access(8, Perms::EXECUTE)?;
-                if addr % 8 != 0 {
-                    return Err(TrapCause::PccMisaligned { addr });
-                }
-                // The link capability is the current PCC pointed at the
-                // return address. A return address below the PCC's base is
-                // unrepresentable (the offset is unsigned), e.g. when a
-                // trampoline's PCC starts above the caller: trap rather
-                // than underflow.
-                let ret = next * 8;
-                let Some(link_off) = ret.checked_sub(self.pcc.base()) else {
-                    return Err(TrapCause::PccBounds { pc: next });
-                };
-                self.caps[rd as usize] = self.pcc.set_offset(link_off)?;
-                self.set_pcc(target);
-                Ok(addr / 8)
-            }
-            Op::CGetPcc => {
-                self.caps[rd as usize] = self.pcc;
-                Ok(next)
-            }
-        }
-    }
-
-    /// Executes one flattened block micro-op (see [`crate::ir`]).
-    /// Mirrors [`Vm::execute_at`] arm for arm with operand decoding
-    /// already done; the `Other` fallback *is* `execute_at`. Every
-    /// backend funnels its long-tail and capability ops through here, so
-    /// each pointer/trap decision lives in exactly one place.
+    /// Executes one flattened micro-op (see [`crate::ir`]) at `pc`,
+    /// returning the next pc or the trap cause. The machine's one
+    /// semantics match: single steps, the reference block body and the
+    /// template tier's long tail all run through it, so each pointer and
+    /// trap decision lives in exactly one place.
     #[allow(clippy::too_many_lines)]
     pub(crate) fn exec_flat(&mut self, op: &FlatOp, pc: u64) -> Result<u64, TrapCause> {
         let next = pc + 1;
@@ -1189,7 +912,61 @@ impl Vm {
             FlatOp::CToPtr { rd, cb, ct } => {
                 alu!(rd, self.caps[cb as usize].to_ptr(&self.caps[ct as usize]))
             }
-            FlatOp::Other(i) => self.execute_at(i, pc),
+            FlatOp::Syscall { n } => self.syscall(n).map(|()| next),
+            FlatOp::Break => Err(TrapCause::Breakpoint),
+            FlatOp::CIncBase { cd, cb, rt } => {
+                self.caps[cd as usize] = self.caps[cb as usize].inc_base(self.reg(rt))?;
+                Ok(next)
+            }
+            FlatOp::CSetLen { cd, cb, rt } => {
+                self.caps[cd as usize] = self.caps[cb as usize].set_length(self.reg(rt))?;
+                Ok(next)
+            }
+            FlatOp::CFromPtr { cd, cb, rt } => {
+                self.caps[cd as usize] =
+                    Capability::from_ptr(&self.caps[cb as usize], self.reg(rt))?;
+                Ok(next)
+            }
+            FlatOp::CSeal { cd, cb, ct } => {
+                self.caps[cd as usize] = self.caps[cb as usize].seal(&self.caps[ct as usize])?;
+                Ok(next)
+            }
+            FlatOp::CUnseal { cd, cb, ct } => {
+                self.caps[cd as usize] = self.caps[cb as usize].unseal(&self.caps[ct as usize])?;
+                Ok(next)
+            }
+            FlatOp::CJr { cb } => {
+                let target = self.caps[cb as usize];
+                let addr = target.check_access(8, Perms::EXECUTE)?;
+                if addr % 8 != 0 {
+                    return Err(TrapCause::PccMisaligned { addr });
+                }
+                self.set_pcc(target);
+                Ok(addr / 8)
+            }
+            FlatOp::CJalr { cd, cb } => {
+                let target = self.caps[cb as usize];
+                let addr = target.check_access(8, Perms::EXECUTE)?;
+                if addr % 8 != 0 {
+                    return Err(TrapCause::PccMisaligned { addr });
+                }
+                // The link capability is the current PCC pointed at the
+                // return address. A return address below the PCC's base is
+                // unrepresentable (the offset is unsigned), e.g. when a
+                // trampoline's PCC starts above the caller: trap rather
+                // than underflow.
+                let ret = next * 8;
+                let Some(link_off) = ret.checked_sub(self.pcc.base()) else {
+                    return Err(TrapCause::PccBounds { pc: next });
+                };
+                self.caps[cd as usize] = self.pcc.set_offset(link_off)?;
+                self.set_pcc(target);
+                Ok(addr / 8)
+            }
+            FlatOp::CGetPcc { cd } => {
+                self.caps[cd as usize] = self.pcc;
+                Ok(next)
+            }
         }
     }
 
@@ -1811,22 +1588,6 @@ mod tests {
     }
 
     #[test]
-    fn cjalr_link_underflow_traps_cleanly() {
-        // A sandbox PCC whose base exceeds the return address: the link
-        // capability cannot represent a negative offset, so CJALR must
-        // trap instead of underflowing (which panicked in debug builds).
-        let mut p = Program::new();
-        p.code = vec![Instr::new(Op::Nop, 0, 0, 0, 0)];
-        let mut vm = Vm::new(p, VmConfig::functional());
-        vm.pcc = Capability::new_mem(0x100, 0x100, Perms::code());
-        vm.caps[5] = Capability::new_mem(0, 64, Perms::code());
-        let err = vm
-            .execute_at(Instr::new(Op::CJalr, 6, 5, 0, 0), 0)
-            .unwrap_err();
-        assert_eq!(err, TrapCause::PccBounds { pc: 1 });
-    }
-
-    #[test]
     fn cjr_misaligned_target_traps() {
         // Offset 4 into the code: silently truncating to addr/8 would land
         // on the PREVIOUS instruction. It must trap instead.
@@ -1840,20 +1601,6 @@ mod tests {
         let err = run_prog(code).unwrap_err();
         assert_eq!(err.cause, TrapCause::PccMisaligned { addr: 4 });
         assert_eq!(err.pc, 3);
-    }
-
-    #[test]
-    fn cjalr_misaligned_target_traps() {
-        let mut p = Program::new();
-        p.code = vec![Instr::new(Op::Nop, 0, 0, 0, 0)];
-        let mut vm = Vm::new(p, VmConfig::functional());
-        vm.caps[5] = Capability::new_mem(0, 64, Perms::code())
-            .set_offset(12)
-            .unwrap();
-        let err = vm
-            .execute_at(Instr::new(Op::CJalr, 6, 5, 0, 0), 0)
-            .unwrap_err();
-        assert_eq!(err, TrapCause::PccMisaligned { addr: 12 });
     }
 
     #[test]

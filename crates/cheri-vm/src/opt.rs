@@ -86,9 +86,9 @@ fn fold_constants(ops: &mut [FlatOp]) {
             }
             None => {}
         }
-        // Not foldable: invalidate whatever it writes. `Other` may be a
-        // syscall or sealing op — drop all knowledge.
-        if matches!(op, FlatOp::Other(_)) {
+        // Not foldable: invalidate whatever it writes. An opaque op may be
+        // a syscall or sealing op — drop all knowledge.
+        if is_opaque(op) {
             consts = [None; 32];
             consts[0] = Some(0);
         } else if let Some(rd) = int_write(op) {
@@ -217,7 +217,7 @@ fn int_write(op: &FlatOp) -> Option<u8> {
 }
 
 /// The integer registers `op` reads. `None` means "assume it reads
-/// everything" (the `Other` long tail: syscalls read argument registers).
+/// everything": the opaque long tail (syscalls read argument registers).
 fn int_reads(op: &FlatOp) -> Option<[Option<u8>; 2]> {
     let two = |a, b| Some([Some(a), Some(b)]);
     let one = |a| Some([Some(a), None]);
@@ -301,8 +301,26 @@ fn int_reads(op: &FlatOp) -> Option<[Option<u8>; 2]> {
         | FlatOp::CGetTag { .. }
         | FlatOp::CPtrCmp { .. }
         | FlatOp::CToPtr { .. } => zero,
-        FlatOp::Other(_) => None,
+        // The long tail the pass does not model: opaque.
+        FlatOp::Syscall { .. }
+        | FlatOp::Break
+        | FlatOp::CIncBase { .. }
+        | FlatOp::CSetLen { .. }
+        | FlatOp::CFromPtr { .. }
+        | FlatOp::CSeal { .. }
+        | FlatOp::CUnseal { .. }
+        | FlatOp::CJr { .. }
+        | FlatOp::CJalr { .. }
+        | FlatOp::CGetPcc { .. } => None,
     }
+}
+
+/// `true` for the long tail the pass does not model (syscalls, `break`,
+/// the CHERIv2 bounds ops, pointer derivation, sealing, capability jumps):
+/// each may trap, is assumed to read every register, and ends all
+/// register knowledge.
+fn is_opaque(op: &FlatOp) -> bool {
+    int_reads(op).is_none()
 }
 
 /// `true` when `op` can raise a trap at runtime.
@@ -325,8 +343,7 @@ fn can_trap(op: &FlatOp) -> bool {
             | FlatOp::CSetOffset { .. }
             | FlatOp::CSetBounds { .. }
             | FlatOp::CAndPerm { .. }
-            | FlatOp::Other(_)
-    )
+    ) || is_opaque(op)
 }
 
 /// `true` when `op`'s only architectural effect is writing one integer
@@ -360,7 +377,7 @@ fn elide_dead_writes(ops: &mut [FlatOp]) {
         for later in ops.iter().skip(i + 1) {
             let reads_rd = match int_reads(later) {
                 Some(reads) => reads.iter().flatten().any(|&r| r == rd),
-                None => true, // `Other`: assume it reads everything.
+                None => true, // Opaque: assume it reads everything.
             };
             if reads_rd {
                 break;

@@ -238,7 +238,7 @@ fn program(name: &str) -> &'static str {
         .1
 }
 
-/// The 11-program identity matrix: {reference, chained, template} ×
+/// The 11-program identity matrix: {reference, template} ×
 /// {opt off, opt on} × {Cap256, Cap128}, every cell compared field by
 /// field against the (reference, opt off) oracle of the same format.
 #[test]
@@ -375,9 +375,8 @@ fn assembly_traps_identical_across_matrix() {
     }
 }
 
-/// Control transfers to pc `u64::MAX`, the value the native tier's block
-/// bodies once returned to mean "trapped": a direct jump, a taken branch
-/// and a register jump. Every matrix cell must treat it as a genuine pc
+/// Control transfers to pc `u64::MAX` — the largest pc a guest can
+/// name: a direct jump, a taken branch and a register jump. Every matrix cell must treat it as a genuine pc
 /// and trap on the next fetch, exactly like the reference oracle.
 #[test]
 fn jumps_to_the_last_pc_trap_identically_across_matrix() {

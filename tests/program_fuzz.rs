@@ -77,7 +77,7 @@ fn immediate(rng: &mut TestRng, op: Op, len: u64) -> i32 {
 
 /// The integer ops: arithmetic, compares, shifts, branches and jumps.
 /// Images drawn from these alone run longer before they trap, which is
-/// what exercises block chaining, the peephole pass and the native tier.
+/// what exercises block chaining and the peephole pass.
 fn integer_ops() -> Vec<Op> {
     use cheri::isa::OpKind::*;
     Op::ALL

@@ -13,13 +13,6 @@ use cheri::vm::{BackendKind, CapFormat, TrapCause, Vm, VmConfig, VmTrap};
 
 const TENANT_MEM: u64 = 4 << 20;
 
-const BACKENDS: [BackendKind; 4] = [
-    BackendKind::Reference,
-    BackendKind::Chained,
-    BackendKind::Template,
-    BackendKind::Native,
-];
-
 fn cfg(format: CapFormat, backend: BackendKind) -> VmConfig {
     // The FPGA preset carries the cache model, so the comparison also
     // covers the traffic ledger, not just the architectural state.
@@ -82,7 +75,7 @@ fn fork_matches_cold_boot_across_formats_and_backends() {
     let source = guests::tree_service(6);
     let prog = compile(&source, Abi::CheriV3).unwrap();
     for format in [CapFormat::Cap256, CapFormat::Cap128] {
-        for backend in BACKENDS {
+        for backend in BackendKind::ALL {
             let what = format!("{format:?}/{backend:?}");
             let vm_cfg = cfg(format, backend);
 
@@ -117,7 +110,7 @@ fn trapping_fork_matches_trapping_cold_boot() {
     let source = guests::oob_service();
     let prog = compile(&source, Abi::CheriV3).unwrap();
     for format in [CapFormat::Cap256, CapFormat::Cap128] {
-        for backend in BACKENDS {
+        for backend in BackendKind::ALL {
             let what = format!("{format:?}/{backend:?}");
             let vm_cfg = cfg(format, backend);
 
@@ -228,7 +221,7 @@ fn mid_block_slices_compile_privately_and_match_cold_boots() {
         ("oob-trap", guests::oob_service(), vec![9, 1]),
     ];
     for format in [CapFormat::Cap256, CapFormat::Cap128] {
-        for backend in BACKENDS {
+        for backend in BackendKind::ALL {
             for (name, source, payload) in &fleet {
                 let what = format!("{name} {format:?}/{backend:?}");
                 let vm_cfg = cfg(format, backend);
