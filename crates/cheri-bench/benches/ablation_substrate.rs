@@ -47,8 +47,8 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_substrate");
 
     // The two legacy dispatch benches stay pinned to the reference
-    // backend with the optimizer off, so their numbers remain comparable
-    // across PRs; the backend ladder is measured separately below.
+    // binding (every op through `exec_flat`) with the optimizer off; the
+    // template tier is measured separately below.
     let reference = VmConfig::functional()
         .with_backend(BackendKind::Reference)
         .with_opt_level(OptLevel::None);

@@ -1,27 +1,13 @@
 //! Regenerates Figure 3: tcpdump trace-processing time under the three ABIs.
 //!
-//! Usage: `fig3 [packets] [backend] [fetch]` where `backend` is one of
-//! `reference` or `template` (default: the machine default,
-//! template). Passing the literal word `fetch` turns on
-//! per-block instruction-fetch charging (a new cycle era; columns gain
-//! the fetch share). An unknown backend name prints the valid names and
-//! exits non-zero.
+//! Usage: `fig3 [packets] [fetch]` (default 2000 packets). Passing the
+//! literal word `fetch` turns on per-block instruction-fetch charging (a
+//! new cycle era; columns gain the fetch share). Any other argument prints
+//! the usage line and exits with status 2.
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.iter().any(|a| a == "fetch") {
-        cheri_bench::select_fetch_charging(true);
-    }
-    let mut args = raw.into_iter().filter(|a| a != "fetch").peekable();
-    let packets: u32 = match args.peek().and_then(|s| s.parse().ok()) {
-        Some(n) => {
-            args.next();
-            n
-        }
-        None => 2_000,
-    };
-    if let Some(name) = args.next() {
-        cheri_bench::select_backend(cheri_bench::backend_arg(&name));
-    }
+    let (numbers, [fetch]) = cheri_bench::driver_args("fig3 [packets] [fetch]", ["fetch"], 1);
+    cheri_bench::select_fetch_charging(fetch);
+    let packets = numbers.first().copied().unwrap_or(2_000);
     let pts = cheri_bench::fig3_points(packets, 61106);
     print!(
         "{}",

@@ -15,7 +15,7 @@ use cheri_compile::{compile, Abi};
 use cheri_idioms::{analyzer, cases, corpus, pitfalls, Idiom};
 use cheri_interp::ModelKind;
 use cheri_mem::Allocator;
-use cheri_vm::{BackendKind, Vm, VmConfig};
+use cheri_vm::{Vm, VmConfig};
 use cheri_workloads::runner::{run_workload, RunOutcome};
 use cheri_workloads::{inputs, porting, sources};
 use std::sync::OnceLock;
@@ -23,17 +23,7 @@ use std::sync::OnceLock;
 /// Fuel budget for harness runs.
 pub const FUEL: u64 = 20_000_000_000;
 
-static BACKEND: OnceLock<BackendKind> = OnceLock::new();
 static FETCH_CHARGING: OnceLock<bool> = OnceLock::new();
-
-/// Selects the execution backend every figure/table driver runs on; the
-/// figure binaries call this with their optional trailing argument
-/// (`fig1 2 reference`). First call wins; the default is the machine
-/// default (the template tier). Simulated results are backend-invariant —
-/// this only changes how long the harness takes on the host.
-pub fn select_backend(kind: BackendKind) {
-    let _ = BACKEND.set(kind);
-}
 
 /// Turns per-block instruction-fetch charging on for every figure/table
 /// driver (the figure binaries call this when passed the literal word
@@ -44,29 +34,37 @@ pub fn select_fetch_charging(on: bool) {
     let _ = FETCH_CHARGING.set(on);
 }
 
-/// Resolves a backend name from the command line, or prints the valid
-/// names (from [`BackendKind::ALL`]) and exits non-zero. The figure/table
-/// binaries all route their backend argument through here, so a typo
-/// (`fig1 1 natve`) fails loudly instead of being silently ignored.
-pub fn backend_arg(name: &str) -> BackendKind {
-    BackendKind::from_name(name).unwrap_or_else(|| {
-        let names: Vec<&str> = BackendKind::ALL.iter().map(|k| k.name()).collect();
-        eprintln!(
-            "unknown backend {name:?}; valid backends: {}",
-            names.join("|")
-        );
-        std::process::exit(2);
-    })
+/// The FPGA-like machine every driver measures on, under the selected
+/// fetch-charging mode.
+pub fn machine_config() -> VmConfig {
+    VmConfig::fpga().with_fetch_charging(FETCH_CHARGING.get().copied().unwrap_or(false))
 }
 
-/// The FPGA-like machine every driver measures on, under the selected
-/// execution backend and fetch-charging mode.
-pub fn machine_config() -> VmConfig {
-    let cfg = match BACKEND.get() {
-        Some(&k) => VmConfig::fpga().with_backend(k),
-        None => VmConfig::fpga(),
-    };
-    cfg.with_fetch_charging(FETCH_CHARGING.get().copied().unwrap_or(false))
+/// A driver's command line: up to `max_numbers` numbers, in order, and
+/// any of the literal `words`, anywhere; the flags say which words were
+/// given. Anything else — an unknown word, an unparseable or surplus
+/// number — prints `usage: <usage>` and exits with status 2.
+pub fn driver_args<const W: usize>(
+    usage: &str,
+    words: [&str; W],
+    max_numbers: usize,
+) -> (Vec<u32>, [bool; W]) {
+    let mut numbers = Vec::new();
+    let mut given = [false; W];
+    for arg in std::env::args().skip(1) {
+        if let Some(i) = words.iter().position(|w| *w == arg) {
+            given[i] = true;
+            continue;
+        }
+        match arg.parse() {
+            Ok(n) if numbers.len() < max_numbers => numbers.push(n),
+            _ => {
+                eprintln!("unexpected argument {arg:?}\nusage: {usage}");
+                std::process::exit(2);
+            }
+        }
+    }
+    (numbers, given)
 }
 
 // ---------------------------------------------------------------- Table 1

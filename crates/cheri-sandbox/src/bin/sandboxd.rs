@@ -3,24 +3,24 @@
 //! across work-stealing workers, and reports fork latency vs cold boot
 //! plus aggregate throughput.
 //!
-//! Usage: `sandboxd [requests] [tenants] [workers] [backend]` with
-//! `backend` one of `reference` or `template` (default: the machine
-//! default, template); an unknown backend name prints the valid names
-//! and exits with code 2. Passing the literal word `shared`
-//! anywhere switches the fleet onto cache-modelled machines (the FPGA
-//! soft-core geometry) arbitrating one shared memory system, and adds
-//! per-tenant contention columns to the report.
+//! Usage: `sandboxd [requests] [tenants] [workers] [shared]` (defaults 64
+//! requests, 8 tenants, 2 workers; tenants and workers at least 1).
+//! Passing the literal word `shared` anywhere switches the fleet onto
+//! cache-modelled machines (the FPGA soft-core geometry) arbitrating one
+//! shared memory system, and adds per-tenant contention columns to the
+//! report. Any other argument prints the usage line and exits with
+//! status 2.
 
 use cheri_compile::{compile, Abi};
 use cheri_sandbox::{Outcome, Request, SandboxService, TenantConfig};
-use cheri_vm::{BackendKind, CapFormat, TrapCause, Vm, VmTrap};
+use cheri_vm::{CapFormat, TrapCause, Vm, VmTrap};
 use std::time::Instant;
 
 /// Per-tenant memory quota: big enough for the demo guests, small enough
 /// that a batch of live forks stays cheap on a CI box.
 const TENANT_MEM: u64 = 4 << 20;
 
-fn tenant_fleet(n: usize, backend: Option<BackendKind>, shared: bool) -> Vec<TenantConfig> {
+fn tenant_fleet(n: usize, shared: bool) -> Vec<TenantConfig> {
     let vm = move |format: CapFormat| {
         // Shared mode needs a memory system to contend on: model each
         // tenant as an FPGA soft core instead of a functional machine.
@@ -29,11 +29,7 @@ fn tenant_fleet(n: usize, backend: Option<BackendKind>, shared: bool) -> Vec<Ten
         } else {
             cheri_vm::VmConfig::functional()
         };
-        let mut cfg = base.with_mem_size(TENANT_MEM).with_cap_format(format);
-        if let Some(kind) = backend {
-            cfg = cfg.with_backend(kind);
-        }
-        cfg
+        base.with_mem_size(TENANT_MEM).with_cap_format(format)
     };
     (0..n)
         .map(|i| {
@@ -114,25 +110,35 @@ fn cold_boot(prog: &cheri_isa::Program, cfg: cheri_vm::VmConfig, fuel: u64) -> V
     vm
 }
 
-fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let shared = raw.iter().any(|a| a == "shared");
-    let mut args = raw.into_iter().filter(|a| a != "shared");
-    let requests: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(64);
-    let tenants: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(8);
-    let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(2);
-    let backend = args.next().map(|name| {
-        BackendKind::from_name(&name).unwrap_or_else(|| {
-            let names: Vec<&str> = BackendKind::ALL.iter().map(|k| k.name()).collect();
-            eprintln!(
-                "unknown backend {name:?}; valid backends: {}",
-                names.join("|")
-            );
-            std::process::exit(2);
-        })
-    });
+/// `[requests, tenants, workers]` and whether `shared` was given, or the
+/// usage line and exit status 2 on any other argument.
+fn parse_args() -> ([usize; 3], bool) {
+    let mut numbers = [64, 8, 2];
+    let (mut given, mut shared) = (0, false);
+    for arg in std::env::args().skip(1) {
+        if arg == "shared" {
+            shared = true;
+            continue;
+        }
+        // Requests may be 0; tenants and workers may not.
+        match arg.parse::<usize>() {
+            Ok(n) if given < 3 && (n > 0 || given == 0) => numbers[given] = n,
+            _ => {
+                eprintln!(
+                    "unexpected argument {arg:?}\nusage: sandboxd [requests] [tenants] [workers] [shared]"
+                );
+                std::process::exit(2);
+            }
+        }
+        given += 1;
+    }
+    (numbers, shared)
+}
 
-    let fleet = tenant_fleet(tenants, backend, shared);
+fn main() {
+    let ([requests, tenants, workers], shared) = parse_args();
+
+    let fleet = tenant_fleet(tenants, shared);
     let mut service = SandboxService::new().with_shared_memory(shared);
     let boot_start = Instant::now();
     for cfg in &fleet {

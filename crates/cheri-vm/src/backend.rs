@@ -1,22 +1,22 @@
-//! Pluggable execution backends over the block IR.
+//! The block engine over the block IR.
 //!
-//! A backend owns the compiled-block cache and the dispatch loop; the
+//! The engine owns the compiled-block cache and the dispatch loop; the
 //! [`crate::Vm`] owns the architectural state (registers, memory, PCC,
-//! statistics) and hands itself to the backend for the duration of
-//! [`crate::Vm::run`]. Both backends are instances of one generic
-//! [`Engine`] parameterised by a [`BlockRepr`] — what a compiled block
-//! *is* — plus a chaining switch:
+//! statistics) and hands itself to the engine for the duration of
+//! [`crate::Vm::run`]. A compiled block's body is a slice of [`TOp`]s: each
+//! micro-op bound, at compile time, to a handler function plus its
+//! pre-extracted operands. [`BackendKind`] chooses only how ops are bound
+//! (see [`bind`]) and whether blocks chain:
 //!
-//! * [`BackendKind::Reference`] — `Engine<InterpBody>`, no chaining: each
-//!   block's micro-ops run through [`Vm::exec_flat`], one block per
-//!   dispatch. The semantics the template tier is differenced against.
-//! * [`BackendKind::Template`] — `Engine<TemplateBody>` with chaining:
-//!   each micro-op is pre-bound at compile time to a monomorphized
-//!   handler function, so the per-op dispatch is an indirect call on
-//!   pre-extracted operands instead of a match over [`FlatOp`]; a block
-//!   whose terminal is a direct branch or jump transfers straight to the
-//!   already-compiled successor (a memoized slot on the block) without
-//!   re-entering the outer dispatch loop.
+//! * [`BackendKind::Reference`] — every op bound to [`h_flat`], which runs
+//!   it through [`Vm::exec_flat`]; no chaining, one block per dispatch.
+//!   The semantics the template tier is differenced against.
+//! * [`BackendKind::Template`] — each op bound to a monomorphized handler,
+//!   so the per-op dispatch is an indirect call on pre-extracted operands
+//!   instead of a match over [`FlatOp`]; a block whose terminal is a
+//!   direct branch or jump transfers straight to the already-compiled
+//!   successor (a memoized slot on the block) without re-entering the
+//!   outer dispatch loop.
 //!
 //! The compiled-block table is immutable once a machine is snapshotted,
 //! so an engine holds it behind an [`Arc`]: a clone (a snapshot's fork)
@@ -24,7 +24,7 @@
 //! that must compile or link a block into a shared table copies the table
 //! first (copy-on-write), so a snapshot and its sibling forks never see
 //! another fork's compiles. [`crate::Vm::snapshot`] precompiles every
-//! statically reachable block (see [`ExecBackend::precompile`]) so forks
+//! statically reachable block (see [`Engine::precompile`]) so forks
 //! rarely need to.
 //!
 //! Chaining preserves bit-identity because the chain loop re-applies the
@@ -32,11 +32,12 @@
 //! the validated fetch window (so `fetch_checks` cannot diverge — the
 //! reference loop would not have revalidated either) and must fit in the
 //! remaining fuel (so `OutOfFuel` falls back to single-stepping at the
-//! same pc). Within a chain the window is invariant: the only ops that
-//! write the PCC (`cjr`/`cjalr`) are block terminals classified
-//! [`BlockExit::CapJump`], which never chain; [`BlockExit::Effect`]
-//! (syscall/break) never chains either, so the `halted` flag is always
-//! seen by the outer loop.
+//! same pc). Within a chain the window is invariant and the machine never
+//! halts: every op that writes the PCC (`cjr`/`cjalr`) or may halt
+//! (`syscall`/`break`) ends its block ([`cheri_isa::Op::ends_block`]), and
+//! such a block's exit is [`BlockExit::Dispatch`], which never chains. Only
+//! [`BlockExit::Branch`] and [`BlockExit::Jump`] exits chain, and their
+//! terminals write neither.
 
 use crate::config::{BackendKind, OptLevel, VmConfig};
 use crate::ir::{Block, BlockExit, FlatOp};
@@ -44,57 +45,13 @@ use crate::machine::Vm;
 use crate::opt;
 use crate::trap::{TrapCause, VmTrap};
 use cheri_isa::{Instr, Op};
-use std::fmt;
 use std::sync::Arc;
-
-/// An execution backend: compiles blocks on demand and runs the machine
-/// until exit, trap, or fuel exhaustion. Exactly the contract
-/// [`crate::Vm::run`] had before backends were pluggable.
-pub(crate) trait ExecBackend: fmt::Debug + Send + Sync {
-    /// Runs `vm` for at most `fuel` retired instructions, returning the
-    /// exit code. [`Vm::run`] syncs the cache model and builds the
-    /// [`crate::ExitStatus`].
-    fn run(&mut self, vm: &mut Vm, fuel: u64) -> Result<i64, VmTrap>;
-    /// Folds this backend's block execution counters (histogram × execs)
-    /// into `counts`, completing the per-op retirement statistics.
-    fn add_op_counts(&self, counts: &mut [u64]);
-    /// Compiles every block statically reachable from `pc` and links the
-    /// chain successors between them. Changes no simulated result, only
-    /// what later runs find already compiled.
-    fn precompile(&mut self, pc: u64, code: &[Instr]);
-    /// Blocks in the compiled-block table.
-    fn compiled_blocks(&self) -> usize;
-    /// The address of the compiled-block table, to tell a shared table
-    /// from a private copy.
-    #[cfg(test)]
-    fn table_addr(&self) -> usize;
-    /// Clone through the trait object (keeps `Vm: Clone`).
-    fn boxed_clone(&self) -> Box<dyn ExecBackend>;
-}
-
-/// Builds the backend selected by `cfg.backend`.
-pub(crate) fn new_backend(cfg: &VmConfig, code_len: usize) -> Box<dyn ExecBackend> {
-    match cfg.backend {
-        BackendKind::Reference => Box::new(Engine::<InterpBody>::new(cfg, false, code_len)),
-        BackendKind::Template => Box::new(Engine::<TemplateBody>::new(cfg, true, code_len)),
-    }
-}
-
-/// What a compiled block is to a particular backend.
-pub(crate) trait BlockRepr: Clone + fmt::Debug + Send + Sync + 'static {
-    /// Compiles the (possibly peephole-rewritten) micro-ops of a block.
-    fn compile(ops: &[FlatOp]) -> Self;
-    /// Executes the block body entered at `entry`. `Ok` is the next pc
-    /// after the terminal; `Err` carries the pc of the trapping op so the
-    /// engine can unwind the hoisted statistics positionally.
-    fn exec(&self, vm: &mut Vm, entry: u64) -> Result<u64, (u64, TrapCause)>;
-}
 
 /// One compiled block plus everything the engine needs without touching
 /// the body: accounting data (always describing the *source*
 /// instructions) and the memoized chain slots.
 #[derive(Clone, Debug)]
-struct Compiled<R> {
+struct Compiled {
     start: u64,
     /// Source instruction count (`Block::instr_len`, not `ops.len()`).
     len: u64,
@@ -107,27 +64,28 @@ struct Compiled<R> {
     taken: u32,
     /// Compiled-block id of the fall-through successor.
     fall: u32,
-    body: R,
+    body: Box<[TOp]>,
 }
 
 /// The compiled-block table: blocks keyed by entry pc, with their chain
 /// memos. Engines share it until one of them compiles or links a block.
 #[derive(Clone, Debug)]
-struct Table<R> {
+struct Table {
     /// `index[pc]` is the compiled block entered at `pc`, or `u32::MAX`.
     index: Vec<u32>,
-    blocks: Vec<Compiled<R>>,
+    blocks: Vec<Compiled>,
 }
 
-/// The generic block engine: lazy compiled-block cache keyed by entry pc,
+/// The block engine: lazy compiled-block cache keyed by entry pc,
 /// per-block execution counters for stat hoisting, and the dispatch loop
 /// with optional block chaining.
 #[derive(Clone, Debug)]
-pub(crate) struct Engine<R: BlockRepr> {
-    chain: bool,
+pub(crate) struct Engine {
+    /// How ops are bound; the template tier also chains.
+    kind: BackendKind,
     opt: OptLevel,
     /// Shared by clones; copied on the first write after a clone.
-    table: Arc<Table<R>>,
+    table: Arc<Table>,
     /// Completed executions per block (partial executions account their
     /// prefix into the machine's residual counters instead). Always as
     /// long as the table's block list.
@@ -141,10 +99,12 @@ pub(crate) struct Engine<R: BlockRepr> {
     scan_end: u64,
 }
 
-impl<R: BlockRepr> Engine<R> {
-    fn new(cfg: &VmConfig, chain: bool, code_len: usize) -> Engine<R> {
+impl Engine {
+    /// An engine with an empty table for a `code_len`-instruction image,
+    /// binding ops as `cfg.backend` says.
+    pub(crate) fn new(cfg: &VmConfig, code_len: usize) -> Engine {
         Engine {
-            chain,
+            kind: cfg.backend,
             opt: cfg.opt,
             table: Arc::new(Table {
                 index: vec![u32::MAX; code_len],
@@ -190,7 +150,7 @@ impl<R: BlockRepr> Engine<R> {
         if self.opt == OptLevel::Peephole {
             opt::peephole(&mut block);
         }
-        let body = R::compile(&block.ops);
+        let body = block.ops.iter().map(|op| bind(self.kind, op)).collect();
         let table = Arc::make_mut(&mut self.table);
         let id = table.blocks.len() as u32;
         table.blocks.push(Compiled {
@@ -222,10 +182,12 @@ impl<R: BlockRepr> Engine<R> {
         nid
     }
 
-    /// The dispatch loop. Mirrors the pre-backend `Vm::run`/`run_block`
-    /// pair decision for decision; the chain loop inside only hops when
-    /// the outer loop would have dispatched the successor block whole.
-    fn run_loop(&mut self, vm: &mut Vm, fuel: u64) -> Result<i64, VmTrap> {
+    /// Runs `vm` for at most `fuel` retired instructions, returning the
+    /// exit code; [`Vm::run`] syncs the cache model and builds the
+    /// [`crate::ExitStatus`]. The chain loop inside only hops when the
+    /// outer loop would have dispatched the successor block whole.
+    pub(crate) fn run(&mut self, vm: &mut Vm, fuel: u64) -> Result<i64, VmTrap> {
+        let chain = self.kind == BackendKind::Template;
         let mut remaining = fuel;
         loop {
             if let Some(code) = vm.halted {
@@ -272,7 +234,7 @@ impl<R: BlockRepr> Engine<R> {
                     // cycles; a no-op unless fetch charging is configured.
                     vm.charge_fetch(entry, c.len);
                     vm.cycles += c.base_cycles;
-                    let next = match c.body.exec(vm, entry) {
+                    let next = match exec(&c.body, vm, entry) {
                         Ok(next) => next,
                         Err((trap_pc, cause)) => {
                             let executed = (trap_pc - entry) as usize + 1;
@@ -288,17 +250,16 @@ impl<R: BlockRepr> Engine<R> {
                     vm.regs[0] = 0;
                     vm.pc = next;
                     remaining -= c.len;
-                    if !self.chain {
+                    if !chain {
                         break 'chain;
                     }
-                    // Only static-successor exits chain; everything else
-                    // (indirect, capability jump, syscall/break, fall-off)
+                    // Only static-successor exits chain; a `Dispatch` exit
                     // returns to the outer loop, which re-checks `halted`
                     // and the fetch window.
                     let take_edge = match c.exit {
                         BlockExit::Branch { taken, .. } => next == taken,
                         BlockExit::Jump { .. } => true,
-                        _ => break 'chain,
+                        BlockExit::Dispatch => break 'chain,
                     };
                     // The successor must be inside the validated window
                     // (the window is invariant during a chain — nothing
@@ -332,14 +293,10 @@ impl<R: BlockRepr> Engine<R> {
             cause: TrapCause::OutOfFuel,
         })
     }
-}
 
-impl<R: BlockRepr> ExecBackend for Engine<R> {
-    fn run(&mut self, vm: &mut Vm, fuel: u64) -> Result<i64, VmTrap> {
-        self.run_loop(vm, fuel)
-    }
-
-    fn add_op_counts(&self, counts: &mut [u64]) {
+    /// Folds the block execution counters (histogram × execs) into
+    /// `counts`, completing the per-op retirement statistics.
+    pub(crate) fn add_op_counts(&self, counts: &mut [u64]) {
         for (block, &n) in self.table.blocks.iter().zip(&self.execs) {
             if n == 0 {
                 continue;
@@ -350,7 +307,10 @@ impl<R: BlockRepr> ExecBackend for Engine<R> {
         }
     }
 
-    fn precompile(&mut self, pc: u64, code: &[Instr]) {
+    /// Compiles every block statically reachable from `pc` and links the
+    /// chain successors between them. Changes no simulated result, only
+    /// what later runs find already compiled.
+    pub(crate) fn precompile(&mut self, pc: u64, code: &[Instr]) {
         // Leaders: `pc` and the static successors of every compiled block,
         // its direct branch or jump target and the instruction after it
         // (calls return there). Blocks compiled before the snapshot count
@@ -365,7 +325,7 @@ impl<R: BlockRepr> ExecBackend for Engine<R> {
                 match c.exit {
                     BlockExit::Branch { taken, .. } => work.push(taken),
                     BlockExit::Jump { target } => work.push(target),
-                    _ => {}
+                    BlockExit::Dispatch => {}
                 }
             }
             scanned = self.table.blocks.len();
@@ -379,7 +339,7 @@ impl<R: BlockRepr> ExecBackend for Engine<R> {
             let (taken, fall) = match self.table.blocks[id as usize].exit {
                 BlockExit::Branch { taken, fall } => (taken, Some(fall)),
                 BlockExit::Jump { target } => (target, None),
-                _ => continue,
+                BlockExit::Dispatch => continue,
             };
             for (take_edge, next) in [(true, Some(taken)), (false, fall)] {
                 if let Some(next) = next.filter(|&n| (n as usize) < code.len()) {
@@ -389,40 +349,32 @@ impl<R: BlockRepr> ExecBackend for Engine<R> {
         }
     }
 
-    fn compiled_blocks(&self) -> usize {
+    /// Blocks in the compiled-block table.
+    pub(crate) fn compiled_blocks(&self) -> usize {
         self.table.blocks.len()
     }
 
+    /// The address of the compiled-block table, to tell a shared table
+    /// from a private copy.
     #[cfg(test)]
-    fn table_addr(&self) -> usize {
+    pub(crate) fn table_addr(&self) -> usize {
         Arc::as_ptr(&self.table) as usize
-    }
-
-    fn boxed_clone(&self) -> Box<dyn ExecBackend> {
-        Box::new(self.clone())
     }
 }
 
-/// The reference block body: the flattened micro-ops, executed through
-/// the machine's `exec_flat` match.
-#[derive(Clone, Debug)]
-pub(crate) struct InterpBody(Box<[FlatOp]>);
-
-impl BlockRepr for InterpBody {
-    fn compile(ops: &[FlatOp]) -> InterpBody {
-        InterpBody(ops.into())
-    }
-
-    fn exec(&self, vm: &mut Vm, entry: u64) -> Result<u64, (u64, TrapCause)> {
-        let mut cur = entry;
-        for op in self.0.iter() {
-            match vm.exec_flat(op, cur) {
-                Ok(next) => cur = next,
-                Err(cause) => return Err((cur, cause)),
-            }
+/// Executes the block body `body` entered at `entry`. `Ok` is the next pc
+/// after the terminal; `Err` carries the pc of the trapping op so the
+/// engine can unwind the hoisted statistics positionally.
+pub(crate) fn exec(body: &[TOp], vm: &mut Vm, entry: u64) -> Result<u64, (u64, TrapCause)> {
+    let mut cur = entry;
+    let mut trap = None;
+    for t in body {
+        match (t.run)(vm, t, cur, &mut trap) {
+            Some(next) => cur = next,
+            None => return Err((cur, trap.expect("a failing handler names its cause"))),
         }
-        Ok(cur)
     }
+    Ok(cur)
 }
 
 /// One op's handler: pre-bound at compile time, reading pre-extracted
@@ -433,10 +385,10 @@ impl BlockRepr for InterpBody {
 /// every op.
 type Handler = fn(&mut Vm, &TOp, u64, &mut Option<TrapCause>) -> Option<u64>;
 
-/// A templated op: handler pointer plus its operands, unpacked once at
-/// block compile time. `a`/`b`/`c` are the destination and source
-/// register indices (or the width, for memory ops); the long tail keeps
-/// the original [`FlatOp`] and goes through `exec_flat`.
+/// A bound op: handler pointer plus its operands, unpacked once at block
+/// compile time. `a`/`b`/`c` are the destination and source register
+/// indices (or the width, for memory ops); `flat` is the original
+/// [`FlatOp`], which [`h_flat`] runs through `exec_flat`.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct TOp {
     run: Handler,
@@ -446,28 +398,6 @@ pub(crate) struct TOp {
     imm: i64,
     target: u64,
     flat: FlatOp,
-}
-
-/// The template block body: a pre-bound monomorphized handler chain.
-#[derive(Clone, Debug)]
-pub(crate) struct TemplateBody(Box<[TOp]>);
-
-impl BlockRepr for TemplateBody {
-    fn compile(ops: &[FlatOp]) -> TemplateBody {
-        TemplateBody(ops.iter().map(bind).collect())
-    }
-
-    fn exec(&self, vm: &mut Vm, entry: u64) -> Result<u64, (u64, TrapCause)> {
-        let mut cur = entry;
-        let mut trap = None;
-        for t in self.0.iter() {
-            match (t.run)(vm, t, cur, &mut trap) {
-                Some(next) => cur = next,
-                None => return Err((cur, trap.expect("a failing handler names its cause"))),
-            }
-        }
-        Ok(cur)
-    }
 }
 
 /// A handler's verdict from a `Result`: the next pc, or `None` with the
@@ -628,15 +558,18 @@ fn h_fused<const SIGNED: bool, const IMM: bool, const IF: bool>(
     Some(if (v != 0) == IF { t.target } else { pc + 2 })
 }
 
-/// The long tail — the remaining capability ops, division, syscalls and
-/// capability jumps — goes through `exec_flat`, which keeps every
-/// capability/trap decision in exactly one place.
+/// Runs the op through `exec_flat`, which keeps every capability/trap
+/// decision in exactly one place: every op of a reference body, and the
+/// template tier's long tail — the remaining capability ops, division,
+/// syscalls and capability jumps.
 fn h_flat(vm: &mut Vm, t: &TOp, pc: u64, trap: &mut Option<TrapCause>) -> Option<u64> {
     settle(vm.exec_flat(&t.flat, pc), trap)
 }
 
-/// Pre-binds one micro-op to its handler, extracting operands once.
-fn bind(op: &FlatOp) -> TOp {
+/// Binds one micro-op for `kind`, extracting operands once: the reference
+/// binds every op to [`h_flat`]; the template tier binds each op it has a
+/// handler for.
+pub(crate) fn bind(kind: BackendKind, op: &FlatOp) -> TOp {
     let mut t = TOp {
         run: h_flat,
         a: 0,
@@ -646,6 +579,9 @@ fn bind(op: &FlatOp) -> TOp {
         target: 0,
         flat: *op,
     };
+    if kind == BackendKind::Reference {
+        return t;
+    }
     macro_rules! set {
         ($run:expr, $a:expr, $b:expr, $c:expr, $imm:expr, $target:expr) => {{
             t.run = $run;
@@ -758,8 +694,8 @@ mod tests {
     use super::*;
     use cheri_isa::{Instr, Op};
 
-    fn engine(code_len: usize) -> Engine<InterpBody> {
-        Engine::new(&VmConfig::functional(), false, code_len)
+    fn engine(code_len: usize) -> Engine {
+        Engine::new(&VmConfig::functional(), code_len)
     }
 
     #[test]
@@ -791,18 +727,13 @@ mod tests {
             Instr::r3(Op::Slt, 11, 10, 9),
             Instr::new(Op::Beq, 0, 11, 0, 0),
         ];
-        let mut e: Engine<InterpBody> = Engine::new(
+        let mut e = Engine::new(
             &VmConfig::functional().with_opt_level(OptLevel::Peephole),
-            false,
             code.len(),
         );
         let id = e.get_or_compile(0, &code);
         assert_eq!(e.table.blocks[id as usize].len, 2);
-        assert_eq!(
-            e.table.blocks[id as usize].body.0.len(),
-            1,
-            "fused to one op"
-        );
+        assert_eq!(e.table.blocks[id as usize].body.len(), 1, "fused to one op");
         assert_eq!(e.get_or_compile(0, &code), id, "compile is cached");
     }
 
@@ -821,5 +752,40 @@ mod tests {
         e.add_op_counts(&mut counts);
         assert_eq!(counts[Op::Li as usize], 4);
         assert_eq!(counts[Op::Beq as usize], 2);
+    }
+
+    #[test]
+    fn precompile_memoizes_only_static_successors() {
+        let code = vec![
+            Instr::li(8, 1),                            // 0
+            Instr::new(Op::Beq, 0, 8, 0, 3),            // 1: branch to 3 or 2
+            Instr::new(Op::J, 0, 0, 0, 4),              // 2: jump
+            Instr::new(Op::Jr, 0, cheri_isa::RA, 0, 0), // 3: indirect
+            Instr::new(Op::CJr, 0, 6, 0, 0),            // 4: capability jump
+            Instr::syscall(0),                          // 5: syscall
+            Instr::nop(),                               // 6: falls off the image
+        ];
+        for kind in BackendKind::ALL {
+            let mut e = Engine::new(&VmConfig::functional().with_backend(kind), code.len());
+            e.precompile(0, &code);
+            let mut dispatch = Vec::new();
+            for c in &e.table.blocks {
+                let linked = |id: u32| (id != u32::MAX).then(|| e.table.blocks[id as usize].start);
+                let memos = (linked(c.taken), linked(c.fall));
+                match c.exit {
+                    BlockExit::Branch { taken, fall } => {
+                        assert_eq!(memos, (Some(taken), Some(fall)), "{kind:?}");
+                    }
+                    BlockExit::Jump { target } => assert_eq!(memos, (Some(target), None)),
+                    BlockExit::Dispatch => {
+                        assert_eq!(memos, (None, None), "{kind:?} block {}", c.start);
+                        dispatch.push(c.start);
+                    }
+                }
+            }
+            assert_eq!(e.compiled_blocks(), 6, "{kind:?}");
+            dispatch.sort_unstable();
+            assert_eq!(dispatch, [3, 4, 5, 6], "{kind:?}");
+        }
     }
 }

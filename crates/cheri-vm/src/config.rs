@@ -9,14 +9,15 @@ use cheri_mem::UnrepresentablePolicy;
 /// makes null-pointer dereferences crash on conventional machines.
 pub const NULL_GUARD_SIZE: u64 = 0x1000;
 
-/// Which execution backend drives [`crate::Vm::run`]. Both backends are
-/// bit-identical in architectural state and statistics (simulated cycles,
-/// traps, `fetch_checks`, the traffic ledger); they differ only in host
-/// wall-clock speed. See the README's "Execution backends" section.
+/// How the block engine behind [`crate::Vm::run`] binds micro-ops. Both
+/// kinds are bit-identical in architectural state and statistics
+/// (simulated cycles, traps, `fetch_checks`, the traffic ledger); they
+/// differ only in host wall-clock speed. See the README's "Execution
+/// backends" section.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BackendKind {
-    /// The basic-block superinstruction interpreter, one block per
-    /// dispatch — the reference the template tier is differenced against.
+    /// Every micro-op bound to `Vm::exec_flat`, one block per dispatch —
+    /// the reference the template tier is differenced against.
     Reference,
     /// The template tier: each micro-op pre-bound to a monomorphized
     /// handler at block compile time, and a direct branch/jump terminal
@@ -28,17 +29,12 @@ impl BackendKind {
     /// All backends, reference first (differential-suite order).
     pub const ALL: [BackendKind; 2] = [BackendKind::Reference, BackendKind::Template];
 
-    /// Driver-facing name (`fig1 -- <scale> template`).
+    /// Display name, as reports and benchmark stamps print it.
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Reference => "reference",
             BackendKind::Template => "template",
         }
-    }
-
-    /// Parses a driver-facing name.
-    pub fn from_name(s: &str) -> Option<BackendKind> {
-        BackendKind::ALL.into_iter().find(|k| k.name() == s)
     }
 }
 
@@ -73,7 +69,7 @@ pub struct VmConfig {
     /// What a Cap128 capability store does when the capability is not
     /// representable (ignored under [`CapFormat::Cap256`]).
     pub cap128_policy: UnrepresentablePolicy,
-    /// Which execution backend drives the machine. Both backends are
+    /// How the block engine binds micro-ops. Both kinds are
     /// bit-identical in everything but host speed.
     pub backend: BackendKind,
     /// IR optimization level applied when blocks are compiled.
@@ -219,7 +215,7 @@ mod tests {
     }
 
     #[test]
-    fn builders_select_backend_and_opt_level() {
+    fn builders_choose_backend_and_opt_level() {
         assert_eq!(VmConfig::default().backend, BackendKind::Template);
         assert_eq!(VmConfig::default().opt, OptLevel::Peephole);
         let c = VmConfig::functional()
@@ -228,10 +224,9 @@ mod tests {
         assert_eq!((c.backend, c.opt), (BackendKind::Reference, OptLevel::None));
         assert!(!c.fetch_charging, "fetch charging defaults off");
         assert!(c.with_fetch_charging(true).fetch_charging);
-        for k in BackendKind::ALL {
-            assert_eq!(BackendKind::from_name(k.name()), Some(k));
-        }
-        assert_eq!(BackendKind::from_name("native"), None);
-        assert_eq!(BackendKind::from_name("chained"), None);
+        assert_eq!(
+            BackendKind::ALL.map(BackendKind::name),
+            ["reference", "template"]
+        );
     }
 }

@@ -6,11 +6,11 @@
 //! code image. Each instruction is *flattened* into a [`FlatOp`]: register
 //! indices and immediates pre-resolved (sign/zero extension done once,
 //! shift amounts masked, load/store width/signedness/addressing unified,
-//! the `CPtrCmp` selector decoded), so a backend executes the whole block
-//! without per-step fetch-window compares or per-op statistics.
+//! the `CPtrCmp` selector decoded), so the block engine executes the whole
+//! block without per-step fetch-window compares or per-op statistics.
 //!
-//! The IR is decoupled from dispatch: a [`Block`] carries everything any
-//! backend needs — the micro-ops, the raw opcode array and histogram for
+//! The IR is decoupled from dispatch: a [`Block`] carries everything the
+//! engine needs — the micro-ops, the raw opcode array and histogram for
 //! statistics reconstruction, the hoisted base-cycle sum, and a
 //! [`BlockExit`] describing the static successor targets (which the
 //! template tier's chaining uses to jump block-to-block without
@@ -597,26 +597,21 @@ fn store(i: Instr, width: u8, via_cap: bool) -> FlatOp {
     }
 }
 
-/// A block's successor structure, derived from its terminal's
+/// A block's static successors, derived from its terminal's
 /// [`ControlKind`]. A chaining engine follows [`BlockExit::Branch`] and
-/// [`BlockExit::Jump`] edges directly; everything else returns to the
-/// dispatch loop (indirect targets are dynamic, capability jumps
-/// invalidate the fetch window, effects may halt, and a clipped block
-/// falls off the code image).
+/// [`BlockExit::Jump`] edges directly; a [`BlockExit::Dispatch`] exit
+/// returns to the dispatch loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum BlockExit {
     /// Conditional branch: taken target plus fall-through.
     Branch { taken: u64, fall: u64 },
     /// Unconditional direct jump (`j`/`jal`).
     Jump { target: u64 },
-    /// Indirect jump through an integer register (`jr`/`jalr`).
-    Indirect,
-    /// Capability jump (`cjr`/`cjalr`): rewrites the PCC.
-    CapJump,
-    /// `syscall`/`break`.
-    Effect,
-    /// Clipped at the end of the code image (no terminal).
-    FallOff,
+    /// No static successor: an indirect jump (`jr`/`jalr`, target in a
+    /// register), a capability jump (`cjr`/`cjalr`, writes the PCC), a
+    /// `syscall`/`break` (may halt), or a block clipped at the end of the
+    /// code image.
+    Dispatch,
 }
 
 /// One straight-line block: flattened ops plus everything needed to hoist
@@ -683,10 +678,10 @@ impl Block {
             ControlKind::Jump => BlockExit::Jump {
                 target: terminal.imm as u64,
             },
-            ControlKind::IndirectJump => BlockExit::Indirect,
-            ControlKind::CapJump => BlockExit::CapJump,
-            ControlKind::Effect => BlockExit::Effect,
-            ControlKind::None => BlockExit::FallOff,
+            ControlKind::IndirectJump
+            | ControlKind::CapJump
+            | ControlKind::Effect
+            | ControlKind::None => BlockExit::Dispatch,
         };
         Block {
             start: pc,
@@ -746,7 +741,7 @@ mod tests {
         let code = vec![Instr::nop(), Instr::nop()];
         let b = Block::build(0, &code);
         assert_eq!(b.ops.len(), 2);
-        assert_eq!(b.exit, BlockExit::FallOff);
+        assert_eq!(b.exit, BlockExit::Dispatch);
     }
 
     #[test]
@@ -756,17 +751,19 @@ mod tests {
             Block::build(0, &code).exit,
             BlockExit::Branch { taken: 2, fall: 4 }
         );
-        assert_eq!(Block::build(4, &code).exit, BlockExit::Effect);
+        assert_eq!(Block::build(4, &code).exit, BlockExit::Dispatch);
         let jumps = vec![
             Instr::new(Op::J, 0, 0, 0, 7),
             Instr::new(Op::Jal, 0, 0, 0, 3),
             Instr::new(Op::Jr, 0, 8, 0, 0),
             Instr::new(Op::CJr, 0, 6, 0, 0),
+            Instr::new(Op::Break, 0, 0, 0, 0),
         ];
         assert_eq!(Block::build(0, &jumps).exit, BlockExit::Jump { target: 7 });
         assert_eq!(Block::build(1, &jumps).exit, BlockExit::Jump { target: 3 });
-        assert_eq!(Block::build(2, &jumps).exit, BlockExit::Indirect);
-        assert_eq!(Block::build(3, &jumps).exit, BlockExit::CapJump);
+        for pc in 2..5 {
+            assert_eq!(Block::build(pc, &jumps).exit, BlockExit::Dispatch);
+        }
     }
 
     #[test]

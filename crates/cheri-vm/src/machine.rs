@@ -1,6 +1,6 @@
 //! The machine: register files, execution loop, syscalls.
 
-use crate::backend::{new_backend, ExecBackend};
+use crate::backend::Engine;
 use crate::config::{VmConfig, NULL_GUARD_SIZE};
 use crate::ir::{flatten, FlatOp};
 use crate::sys;
@@ -206,36 +206,15 @@ pub struct Vm {
     pub(crate) run_start: u64,
     pub(crate) run_end: u64,
     fetch_checks: u64,
-    /// The pluggable execution pipeline (see [`crate::backend`]): owns
-    /// the compiled-block cache and the dispatch loop. `None` only while
-    /// `run` has lent it the machine.
-    backend: Option<Box<dyn ExecBackend>>,
+    /// The block engine (see [`crate::backend`]): owns the compiled-block
+    /// cache and the dispatch loop. `None` only while `run` has lent it
+    /// the machine.
+    backend: Option<Engine>,
 }
 
 impl Clone for Vm {
     fn clone(&self) -> Vm {
-        Vm {
-            code: self.code.clone(),
-            regs: self.regs,
-            caps: self.caps,
-            pcc: self.pcc,
-            pc: self.pc,
-            mem: self.mem.clone(),
-            cache: self.cache.clone(),
-            heap: self.heap.clone(),
-            cycles: self.cycles,
-            instret: self.instret,
-            op_counts: self.op_counts.clone(),
-            output: self.output.clone(),
-            halted: self.halted,
-            cfg: self.cfg,
-            run_start: self.run_start,
-            run_end: self.run_end,
-            fetch_checks: self.fetch_checks,
-            // Shares the compiled blocks and clones their execution
-            // counters, so a cloned machine reports the same op counts.
-            backend: self.backend.as_ref().map(|b| b.boxed_clone()),
-        }
+        self.with_mem(self.mem.clone())
     }
 }
 
@@ -300,7 +279,7 @@ impl Vm {
 
         Ok(Vm {
             pc: program.entry,
-            backend: Some(new_backend(&cfg, program.code.len())),
+            backend: Some(Engine::new(&cfg, program.code.len())),
             code: program.code.into(),
             regs,
             caps,
@@ -397,7 +376,7 @@ impl Vm {
     }
 
     /// Statistics so far. Per-opcode retirement counts are reconstructed
-    /// from the backend's block execution counters plus the single-step
+    /// from the engine's block execution counters plus the single-step
     /// residual.
     pub fn stats(&self) -> VmStats {
         let mut op_counts = self.op_counts.clone();
@@ -438,13 +417,27 @@ impl Vm {
     /// a fuel slice ran out there). That is what makes serving a request
     /// stream from a warmed-up guest image cheap.
     pub fn snapshot(&self) -> VmSnapshot {
-        let mut shell = Vm {
+        let mut shell = self.with_mem(TaggedMemory::new(0));
+        if let Some(b) = &mut shell.backend {
+            b.precompile(shell.pc, &shell.code);
+        }
+        VmSnapshot {
+            shell,
+            mem: self.mem.snapshot(),
+        }
+    }
+
+    /// A copy of this machine over `mem`: the one place besides
+    /// [`Vm::try_new`] that lists every field, shared by `clone` and
+    /// [`Vm::snapshot`]'s memory-less shell.
+    fn with_mem(&self, mem: TaggedMemory) -> Vm {
+        Vm {
             code: self.code.clone(),
             regs: self.regs,
             caps: self.caps,
             pcc: self.pcc,
             pc: self.pc,
-            mem: TaggedMemory::new(0),
+            mem,
             cache: self.cache.clone(),
             heap: self.heap.clone(),
             cycles: self.cycles,
@@ -456,24 +449,19 @@ impl Vm {
             run_start: self.run_start,
             run_end: self.run_end,
             fetch_checks: self.fetch_checks,
-            backend: self.backend.as_ref().map(|b| b.boxed_clone()),
-        };
-        if let Some(b) = &mut shell.backend {
-            b.precompile(shell.pc, &shell.code);
-        }
-        VmSnapshot {
-            shell,
-            mem: self.mem.snapshot(),
+            // Shares the compiled blocks and clones their execution
+            // counters, so the copy reports the same op counts.
+            backend: self.backend.clone(),
         }
     }
 
     /// Runs until `exit`, a trap, or `fuel` retired instructions.
     ///
-    /// Dispatch is delegated to the configured execution backend (see
-    /// [`crate::backend`] and [`crate::BackendKind`]): traps, statistics
-    /// and simulated cycles are bit-identical to single-stepping under
-    /// every backend and optimization level. Single-stepping remains
-    /// available as [`Vm::step`] and is what the backends fall back to
+    /// Dispatch is delegated to the block engine (see [`crate::backend`]
+    /// and [`crate::BackendKind`]): traps, statistics and simulated cycles
+    /// are bit-identical to single-stepping under both backend kinds and
+    /// every optimization level. Single-stepping remains available as
+    /// [`Vm::step`] and is what the engine falls back to
     /// near the fuel limit or when the PCC window is narrower than a
     /// compiled block.
     ///
@@ -520,7 +508,7 @@ impl Vm {
 
     /// Retires one instruction's statistics — base cycles, instruction
     /// count, residual per-op count. The single accounting path shared by
-    /// single-stepping and the backends' partial-block unwind.
+    /// single-stepping and the engine's partial-block unwind.
     pub(crate) fn retire_one(&mut self, op: Op) {
         self.cycles += op.base_cycles();
         self.instret += 1;
@@ -551,7 +539,7 @@ impl Vm {
         result
     }
 
-    /// [`Vm::step`] without the cache-model sync, for the backends inside
+    /// [`Vm::step`] without the cache-model sync, for the engine inside
     /// [`Vm::run`], which syncs on exit.
     pub(crate) fn step_unsynced(&mut self) -> Result<(), VmTrap> {
         let pc = self.pc;

@@ -1,13 +1,14 @@
 //! The per-opcode semantics table: for every [`Op`], one or more edge
 //! cases with their literal outcome — next pc or trap cause, and every
 //! integer register, capability register, PCC and memory word the op
-//! writes. Each row runs as a one-op block through both backends' block
-//! bodies; the reference body is `Vm::exec_flat` over `flatten`, exactly
-//! what `Vm::step` executes after its fetch. The row lookup is an
+//! writes. Each row runs as a one-op block body bound by
+//! [`crate::backend::bind`] for both backend kinds; the reference binds the
+//! op to `Vm::exec_flat` over `flatten`, exactly what `Vm::step` executes
+//! after its fetch. The row lookup is an
 //! exhaustive `match` on [`Op`], so a new opcode does not compile without
 //! a row.
 
-use crate::backend::{BlockRepr, InterpBody, TemplateBody};
+use crate::backend::{bind, exec};
 use crate::ir::flatten;
 use crate::{sys, BackendKind, TrapCause, Vm, VmConfig};
 use cheri_cap::{CapError, Capability, Perms};
@@ -315,14 +316,9 @@ fn rows(op: Op) -> Vec<Row> {
     }
 }
 
-/// Runs `instr` at `P` as a one-op block on `kind`'s block body.
+/// Runs `instr` at `P` as a one-op block bound for `kind`.
 fn exec_on(kind: BackendKind, vm: &mut Vm, instr: Instr) -> Result<u64, TrapCause> {
-    let ops = [flatten(instr)];
-    let result = match kind {
-        BackendKind::Reference => InterpBody::compile(&ops).exec(vm, P),
-        BackendKind::Template => TemplateBody::compile(&ops).exec(vm, P),
-    };
-    result.map_err(|(pc, cause)| {
+    exec(&[bind(kind, &flatten(instr))], vm, P).map_err(|(pc, cause)| {
         assert_eq!(pc, P, "a one-op block traps at its only op");
         cause
     })
