@@ -6,9 +6,8 @@
 //! line and exits with status 2.
 fn main() {
     let (numbers, [fetch]) = cheri_bench::driver_args("fig1 [scale] [fetch]", ["fetch"], 1);
-    cheri_bench::select_fetch_charging(fetch);
     let scale = numbers.first().copied().unwrap_or(4);
-    let pts = cheri_bench::fig1_points(scale);
+    let pts = cheri_bench::fig1_points(scale, fetch);
     print!(
         "{}",
         cheri_bench::render_abi_points("Figure 1: Olden results (smaller is better)", &pts)

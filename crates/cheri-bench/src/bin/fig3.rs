@@ -6,9 +6,8 @@
 //! the usage line and exits with status 2.
 fn main() {
     let (numbers, [fetch]) = cheri_bench::driver_args("fig3 [packets] [fetch]", ["fetch"], 1);
-    cheri_bench::select_fetch_charging(fetch);
     let packets = numbers.first().copied().unwrap_or(2_000);
-    let pts = cheri_bench::fig3_points(packets, 61106);
+    let pts = cheri_bench::fig3_points(packets, 61106, fetch);
     print!(
         "{}",
         cheri_bench::render_abi_points("Figure 3: tcpdump results (smaller is better)", &pts)

@@ -1,9 +1,8 @@
 //! The evaluation harness: regenerates every table and figure of the paper.
 //!
 //! Each `table*`/`fig*` function returns structured data plus a rendered
-//! report; the `src/bin` binaries print them, the Criterion benches in
-//! `benches/` time the underlying machinery, and EXPERIMENTS.md records
-//! paper-vs-measured.
+//! report, and the `src/bin` binaries print them. Host time is measured
+//! by the repository benchmark, `perfbench/`, not here.
 //!
 //! Scale note: the emulator runs the same *workload shapes* as the paper at
 //! reduced sizes (the FPGA ran for seconds; an interpreted ISA does not
@@ -18,27 +17,9 @@ use cheri_mem::Allocator;
 use cheri_vm::{Vm, VmConfig};
 use cheri_workloads::runner::{run_workload, RunOutcome};
 use cheri_workloads::{inputs, porting, sources};
-use std::sync::OnceLock;
 
 /// Fuel budget for harness runs.
 pub const FUEL: u64 = 20_000_000_000;
-
-static FETCH_CHARGING: OnceLock<bool> = OnceLock::new();
-
-/// Turns per-block instruction-fetch charging on for every figure/table
-/// driver (the figure binaries call this when passed the literal word
-/// `fetch`). First call wins; the default is off — fetch charging starts
-/// a new cycle-comparability era (see ROADMAP's bench discipline note),
-/// so it never contaminates default runs.
-pub fn select_fetch_charging(on: bool) {
-    let _ = FETCH_CHARGING.set(on);
-}
-
-/// The FPGA-like machine every driver measures on, under the selected
-/// fetch-charging mode.
-pub fn machine_config() -> VmConfig {
-    VmConfig::fpga().with_fetch_charging(FETCH_CHARGING.get().copied().unwrap_or(false))
-}
 
 /// A driver's command line: up to `max_numbers` numbers, in order, and
 /// any of the literal `words`, anywhere; the flags say which words were
@@ -140,7 +121,7 @@ pub fn table1_report(seed: u64) -> String {
     }
     out.push_str(&format!("{total_loc:>10}\n"));
     out.push_str(&format!(
-        "\n(paper printed totals: {:?}; row sums: {:?} — see EXPERIMENTS.md)\n",
+        "\n(paper printed totals: {:?}; row sums: {:?})\n",
         corpus::PAPER_PRINTED_TOTALS,
         corpus::paper_totals()
     ));
@@ -159,10 +140,9 @@ pub fn table2_report() -> String {
 
 // ---------------------------------------------------------------- Table 3
 
-/// Renders the Table 3 report: measured support matrix with the paper's
-/// annotations.
-pub fn table3_report() -> String {
-    let cells = cases::run_matrix();
+/// Renders the Table 3 report from the measured support matrix
+/// ([`cases::run_matrix`]) with the paper's annotations.
+pub fn table3_report(cells: &[cases::MatrixCell]) -> String {
     let mut out = String::new();
     out.push_str("Table 3: idioms supported by interpretations of the C abstract machine\n");
     out.push_str("(measured by running the extracted idiom test cases in the interpreter)\n\n");
@@ -176,7 +156,7 @@ pub fn table3_report() -> String {
         for idiom in Idiom::ALL {
             let cell = cells
                 .iter()
-                .find(|c| c.model == model && c.idiom == idiom)
+                .find(|c| c.model == model && c.case == idiom)
                 .expect("full matrix");
             let expected = cases::paper_expected(model, idiom);
             let text = if cell.works { expected.cell() } else { "no" };
@@ -202,31 +182,33 @@ pub fn table3_report() -> String {
 
 /// Renders the static companion of Table 3: for every canonical program
 /// (the eight idiom cases plus the two CRuby pitfalls) and every model,
-/// the dynamic verdict from actually running the program next to
-/// `cheri-lint`'s static prediction for it.
+/// the dynamic verdict from actually running the program (`idiom_cells`
+/// is [`cases::run_matrix`]) next to `cheri-lint`'s static prediction.
 ///
 /// Cell format is `dynamic/static`. `!` marks an unsound-clean cell (the
 /// lint blessed a model that traps) — forbidden, and tested to be zero.
 /// `?` marks an imprecise warn (the lint warned about a model that runs) —
 /// tolerated, tallied, and reported as the false-warn rate.
-pub fn table3_static_report() -> String {
+pub fn table3_static_report(idiom_cells: &[cases::MatrixCell]) -> String {
     // Each canonical program: display label, lint report, dynamic verdict
-    // per model (in ModelKind::ALL order).
+    // per model (in ModelKind::ALL order), read off the matrix runs.
+    fn verdicts<C: PartialEq>(cells: &[cases::Cell<C>], case: C) -> Vec<bool> {
+        cells
+            .iter()
+            .filter(|c| c.case == case)
+            .map(|c| c.works)
+            .collect()
+    }
+    let pitfall_cells = pitfalls::run_matrix();
     let mut programs: Vec<(String, cheri_lint::Report, Vec<bool>)> = Vec::new();
     for idiom in Idiom::ALL {
         let report = cheri_lint::analyze_source(cases::source(idiom)).expect("case parses");
-        let dynamic = ModelKind::ALL
-            .iter()
-            .map(|&m| cases::run_case(m, idiom).is_ok())
-            .collect();
+        let dynamic = verdicts(idiom_cells, idiom);
         programs.push((idiom.label().to_string(), report, dynamic));
     }
     for p in pitfalls::Pitfall::ALL {
         let report = cheri_lint::analyze_source(pitfalls::source(p)).expect("pitfall parses");
-        let dynamic = ModelKind::ALL
-            .iter()
-            .map(|&m| pitfalls::run_case(m, p).is_ok())
-            .collect();
+        let dynamic = verdicts(&pitfall_cells, p);
         programs.push((p.name().to_string(), report, dynamic));
     }
 
@@ -320,7 +302,7 @@ pub fn table4_report() -> String {
     let rows = porting::table4();
     let mut out = String::new();
     out.push_str("Table 4: lines of code changed to port from MIPS to CHERIv2 and CHERIv3\n");
-    out.push_str("(measured over our workload variants; paper values in EXPERIMENTS.md)\n\n");
+    out.push_str("(measured over our workload variants; compare the paper's Table 4)\n\n");
     out.push_str(&format!(
         "{:<12}{:>10}{:>18}{:>16}{:>18}{:>16}\n",
         "PROGRAM", "BASELINE", "v2 ANNOTATION", "v2 SEMANTIC", "v3 ANNOTATION", "v3 SEMANTIC"
@@ -374,7 +356,7 @@ pub fn cap_memory_rows() -> Vec<CapMemoryRow> {
     for (name, src) in &workloads {
         let prog = compile(src, Abi::CheriV3).expect("workload compiles");
         for format in [CapFormat::Cap256, CapFormat::Cap128] {
-            let mut vm = Vm::new(prog.clone(), machine_config().with_cap_format(format));
+            let mut vm = Vm::new(prog.clone(), VmConfig::fpga().with_cap_format(format));
             let status = vm.run(FUEL).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(status.code, 0, "{name}/{format:?} failed");
             rows.push(CapMemoryRow {
@@ -505,7 +487,7 @@ pub fn cap_traffic_rows() -> Vec<TrafficRow> {
         let prog = compile(src, Abi::CheriV3).expect("workload compiles");
         for l1_line in [64u64, 16] {
             for format in [CapFormat::Cap256, CapFormat::Cap128] {
-                let cfg = machine_config()
+                let cfg = VmConfig::fpga()
                     .with_cap_format(format)
                     .with_l1_line_bytes(l1_line);
                 let mut vm = Vm::new(prog.clone(), cfg);
@@ -672,7 +654,7 @@ pub fn contention_rows_for(core_counts: &[usize], formats: &[CapFormat]) -> Vec<
     let mut rows = Vec::new();
     for &format in formats {
         for &cores in core_counts {
-            let cfg = machine_config().with_cap_format(format);
+            let cfg = VmConfig::fpga().with_cap_format(format);
             let mut vms: Vec<Vm> = (0..cores).map(|_| Vm::new(prog.clone(), cfg)).collect();
             let shared = SharedHierarchy::new();
             for vm in &mut vms {
@@ -776,10 +758,19 @@ pub struct AbiPoint {
 }
 
 /// Runs one workload under one ABI on the FPGA-like machine, asserting
-/// success.
-pub fn run_or_panic(name: &str, src: &str, abi: Abi, ins: &[(&str, &[u8])]) -> AbiPoint {
-    let outcome = run_workload(src, abi, machine_config(), ins, FUEL)
-        .unwrap_or_else(|e| panic!("{name}/{abi}: {e}"));
+/// success. `fetch` turns on per-block instruction-fetch charging; it is
+/// off by default because it starts a new cycle-comparability era (see
+/// ROADMAP's bench discipline note).
+pub fn run_or_panic(
+    name: &str,
+    src: &str,
+    abi: Abi,
+    ins: &[(&str, &[u8])],
+    fetch: bool,
+) -> AbiPoint {
+    let cfg = VmConfig::fpga().with_fetch_charging(fetch);
+    let outcome =
+        run_workload(src, abi, cfg, ins, FUEL).unwrap_or_else(|e| panic!("{name}/{abi}: {e}"));
     assert_eq!(outcome.exit, 0, "{name}/{abi} failed: {}", outcome.output);
     AbiPoint {
         name: name.to_string(),
@@ -789,8 +780,9 @@ pub fn run_or_panic(name: &str, src: &str, abi: Abi, ins: &[(&str, &[u8])]) -> A
 }
 
 /// Figure 1 (Olden): cycles per benchmark per ABI. `scale` grows the
-/// working sets (1 = quick, 8 = harness default).
-pub fn fig1_points(scale: u32) -> Vec<AbiPoint> {
+/// working sets (1 = quick, 8 = harness default); `fetch` as in
+/// [`run_or_panic`].
+pub fn fig1_points(scale: u32, fetch: bool) -> Vec<AbiPoint> {
     let s = scale.max(1);
     let workloads = vec![
         ("Bisort", sources::bisort(400 * s)),
@@ -803,7 +795,7 @@ pub fn fig1_points(scale: u32) -> Vec<AbiPoint> {
     for (name, src) in &workloads {
         let mut outputs = Vec::new();
         for abi in Abi::ALL {
-            let p = run_or_panic(name, src, abi, &[]);
+            let p = run_or_panic(name, src, abi, &[], fetch);
             outputs.push(p.outcome.output.clone());
             points.push(p);
         }
@@ -820,21 +812,21 @@ pub fn fig2_points(runs: u32) -> Vec<AbiPoint> {
     let src = sources::dhrystone(runs);
     Abi::ALL
         .iter()
-        .map(|&abi| run_or_panic("Dhrystone", &src, abi, &[]))
+        .map(|&abi| run_or_panic("Dhrystone", &src, abi, &[], false))
         .collect()
 }
 
 /// Figure 3 (tcpdump): trace processing per ABI. The baseline source runs
 /// on MIPS and CHERIv3; CHERIv2 requires the ported (index-based) source —
-/// exactly the paper's porting story.
-pub fn fig3_points(packets: u32, seed: u64) -> Vec<AbiPoint> {
+/// exactly the paper's porting story. `fetch` as in [`run_or_panic`].
+pub fn fig3_points(packets: u32, seed: u64, fetch: bool) -> Vec<AbiPoint> {
     let trace = inputs::packet_trace(packets, seed);
     let base = sources::tcpdump_baseline();
     let v2 = sources::tcpdump_cheriv2();
     let points = vec![
-        run_or_panic("tcpdump", &base, Abi::Mips, &[("trace", &trace)]),
-        run_or_panic("tcpdump", &v2, Abi::CheriV2, &[("trace", &trace)]),
-        run_or_panic("tcpdump", &base, Abi::CheriV3, &[("trace", &trace)]),
+        run_or_panic("tcpdump", &base, Abi::Mips, &[("trace", &trace)], fetch),
+        run_or_panic("tcpdump", &v2, Abi::CheriV2, &[("trace", &trace)], fetch),
+        run_or_panic("tcpdump", &base, Abi::CheriV3, &[("trace", &trace)], fetch),
     ];
     let expect = &points[0].outcome.output;
     for p in &points[1..] {
@@ -864,9 +856,9 @@ pub fn fig4_points(sizes: &[u32], seed: u64) -> Vec<Fig4Point> {
             let ins: &[(&str, &[u8])] = &[("input", &file)];
             let plain_src = sources::zlib(size, false);
             let copy_src = sources::zlib(size, true);
-            let mips = run_or_panic("zlib", &plain_src, Abi::Mips, ins);
-            let cheri = run_or_panic("zlib", &plain_src, Abi::CheriV3, ins);
-            let copying = run_or_panic("zlib", &copy_src, Abi::CheriV3, ins);
+            let mips = run_or_panic("zlib", &plain_src, Abi::Mips, ins, false);
+            let cheri = run_or_panic("zlib", &plain_src, Abi::CheriV3, ins, false);
+            let copying = run_or_panic("zlib", &copy_src, Abi::CheriV3, ins, false);
             assert_eq!(mips.outcome.output, cheri.outcome.output);
             assert_eq!(mips.outcome.output, copying.outcome.output);
             let base = mips.outcome.cycles as f64;
@@ -980,7 +972,7 @@ mod tests {
 
     #[test]
     fn table3_report_matches_paper_without_mismatch_markers() {
-        let t = table3_report();
+        let t = table3_report(&cases::run_matrix());
         assert!(!t.contains('!'), "mismatch markers found:\n{t}");
         assert!(t.contains("CHERIv3"));
         assert!(t.contains("(yes)"));
@@ -988,7 +980,7 @@ mod tests {
 
     #[test]
     fn table3_static_report_has_no_unsound_cells_and_one_imprecise() {
-        let t = table3_static_report();
+        let t = table3_static_report(&cases::run_matrix());
         // The legend line mentions each marker once; the matrix itself
         // must contribute zero `!` cells and exactly one `?` cell.
         assert_eq!(t.matches('!').count(), 1, "unsound-clean cells found:\n{t}");
@@ -1264,8 +1256,8 @@ mod tests {
     #[test]
     fn fig1_shape_olden_cheri_not_faster() {
         let src = sources::treeadd(8, 4);
-        let mips = run_or_panic("treeadd", &src, Abi::Mips, &[]);
-        let v3 = run_or_panic("treeadd", &src, Abi::CheriV3, &[]);
+        let mips = run_or_panic("treeadd", &src, Abi::Mips, &[], false);
+        let v3 = run_or_panic("treeadd", &src, Abi::CheriV3, &[], false);
         assert_eq!(mips.outcome.output, v3.outcome.output);
         assert!(
             v3.outcome.cycles as f64 >= 0.98 * mips.outcome.cycles as f64,

@@ -11,7 +11,7 @@
 //! to the `intcap_t` type", §5.1).
 
 use crate::idiom::Idiom;
-use cheri_interp::{run_main, LoweredUnit, ModelKind, RtError};
+use cheri_interp::{run_main, ExecResult, LoweredUnit, ModelKind, RtError};
 
 /// A cell of Table 3.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -207,58 +207,75 @@ pub fn qualification(model: ModelKind, idiom: Idiom) -> Option<&'static str> {
 ///
 /// The [`RtError`] that stopped the program, normally a model violation.
 pub fn run_case(model: ModelKind, idiom: Idiom) -> Result<(), RtError> {
-    let unit = cheri_c::parse(source(idiom)).expect("idiom cases always parse");
-    run_main(&unit, model).map(|r| {
-        assert_eq!(r.exit_code, 0, "idiom case must exit 0 when it works");
-    })
+    run_program(model, source(idiom))
 }
 
-/// One measured cell of Table 3.
+/// Runs a canonical program (an idiom case or a pitfall) under `model`.
+pub(crate) fn run_program(model: ModelKind, src: &str) -> Result<(), RtError> {
+    let unit = cheri_c::parse(src).expect("canonical cases always parse");
+    works_or_err(run_main(&unit, model))
+}
+
+fn works_or_err(r: Result<ExecResult, RtError>) -> Result<(), RtError> {
+    r.map(|res| assert_eq!(res.exit_code, 0, "a canonical case exits 0 when it works"))
+}
+
+/// One measured cell of a model × case matrix: Table 3 (`C` = [`Idiom`])
+/// or the pitfall matrix (`C` = [`crate::pitfalls::Pitfall`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MatrixCell {
+pub struct Cell<C> {
     /// The model (row).
     pub model: ModelKind,
-    /// The idiom (column).
-    pub idiom: Idiom,
+    /// The case (column).
+    pub case: C,
     /// Whether the canonical case ran to completion.
     pub works: bool,
     /// The failure classification when it did not.
     pub failure: Option<String>,
 }
 
-/// Runs the full 7×8 matrix.
+/// One measured cell of Table 3.
+pub type MatrixCell = Cell<Idiom>;
+
+/// Runs the canonical program of every case in `cases` under every model.
 ///
-/// Each idiom case is parsed and lowered **once** (the lowering is shared
-/// by every model with that target layout), and the seven models — which
-/// are fully independent — run on one scoped thread each. Cells come back
-/// in the same deterministic (model-major, [`ModelKind::ALL`] ×
-/// [`Idiom::ALL`]) order the sequential harness produced.
-pub fn run_matrix() -> Vec<MatrixCell> {
-    let lowered: Vec<(Idiom, LoweredUnit)> = Idiom::ALL
+/// Each program is parsed and lowered **once** (the lowering is shared by
+/// every model with that target layout), and the seven models — which are
+/// fully independent — run on one scoped thread each. Cells come back in
+/// the same deterministic (model-major, [`ModelKind::ALL`] × `cases`)
+/// order the sequential harness produced.
+pub fn run_matrix_of<C: Copy + Send + Sync>(
+    cases: &[C],
+    source: impl Fn(C) -> &'static str,
+) -> Vec<Cell<C>> {
+    let lowered: Vec<(C, LoweredUnit)> = cases
         .iter()
-        .map(|&idiom| {
-            let unit = cheri_c::parse(source(idiom)).expect("idiom cases always parse");
-            (idiom, LoweredUnit::new(&unit))
+        .map(|&case| {
+            let unit = cheri_c::parse(source(case)).expect("canonical cases always parse");
+            (case, LoweredUnit::new(&unit))
         })
         .collect();
-    let row = |model: ModelKind| -> Vec<MatrixCell> {
+    let row = |&model: &ModelKind| -> Vec<Cell<C>> {
         lowered
             .iter()
-            .map(|(idiom, lu)| {
-                let r = lu.run(model).map(|res| {
-                    assert_eq!(res.exit_code, 0, "idiom case must exit 0 when it works");
-                });
-                MatrixCell {
+            .map(|(case, lu)| {
+                let r = works_or_err(lu.run(model));
+                Cell {
                     model,
-                    idiom: *idiom,
+                    case: *case,
                     works: r.is_ok(),
                     failure: r.err().map(|e| e.to_string()),
                 }
             })
             .collect()
     };
-    let per_model = cheri_interp::fan_out_ordered(&ModelKind::ALL, |&model| row(model));
+    let per_model = cheri_interp::fan_out_ordered(&ModelKind::ALL, row);
     per_model.into_iter().flatten().collect()
+}
+
+/// Runs the full 7×8 Table 3 matrix (see [`run_matrix_of`]).
+pub fn run_matrix() -> Vec<MatrixCell> {
+    run_matrix_of(&Idiom::ALL, source)
 }
 
 #[cfg(test)]
@@ -280,11 +297,11 @@ mod tests {
     #[test]
     fn measured_matrix_matches_paper_table3() {
         for cell in run_matrix() {
-            let expected = paper_expected(cell.model, cell.idiom).works();
+            let expected = paper_expected(cell.model, cell.case).works();
             assert_eq!(
                 cell.works, expected,
                 "Table 3 mismatch at ({}, {}): measured {} expected {} ({:?})",
-                cell.model, cell.idiom, cell.works, expected, cell.failure
+                cell.model, cell.case, cell.works, expected, cell.failure
             );
         }
     }

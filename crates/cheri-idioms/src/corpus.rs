@@ -124,7 +124,7 @@ pub fn paper_packages() -> Vec<PackageSpec> {
 /// 1327 but is printed as 1557) — the paper itself says the values "are a
 /// result of machine-assisted human categorization, and are intended to be
 /// indicative … rather than accurate measures" (§2). We take the
-/// per-package rows as ground truth and report both (see EXPERIMENTS.md).
+/// per-package rows as ground truth and report both (`table1` prints them).
 pub const PAPER_PRINTED_TOTALS: [u64; 8] = [2491, 151, 2236, 1557, 197, 201, 371, 53];
 
 /// Column sums of the per-package rows (the consistent totals).

@@ -18,8 +18,8 @@
 //! *unported* spelling of Int (works everywhere but CHERI), `TagStripCopy`
 //! defeats even the schemes Int qualifies under.
 
-use crate::cases::Support;
-use cheri_interp::{run_main, LoweredUnit, ModelKind, RtError};
+use crate::cases::{self, Cell, Support};
+use cheri_interp::{ModelKind, RtError};
 use std::fmt;
 
 /// A CRuby-porting pitfall beyond the Table 1 taxonomy.
@@ -121,53 +121,15 @@ pub fn qualification(model: ModelKind, pitfall: Pitfall) -> Option<&'static str>
 ///
 /// The [`RtError`] that stopped the program, normally a model violation.
 pub fn run_case(model: ModelKind, pitfall: Pitfall) -> Result<(), RtError> {
-    let unit = cheri_c::parse(source(pitfall)).expect("pitfall cases always parse");
-    run_main(&unit, model).map(|r| {
-        assert_eq!(r.exit_code, 0, "pitfall case must exit 0 when it works");
-    })
+    cases::run_program(model, source(pitfall))
 }
 
 /// One measured cell of the pitfall matrix.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PitfallCell {
-    /// The model (row).
-    pub model: ModelKind,
-    /// The pitfall (column).
-    pub pitfall: Pitfall,
-    /// Whether the case ran to completion.
-    pub works: bool,
-    /// The failure classification when it did not.
-    pub failure: Option<String>,
-}
+pub type PitfallCell = Cell<Pitfall>;
 
-/// Runs the full 7×2 pitfall matrix (model-major order), sharing one
-/// lowering per case across models as [`crate::cases::run_matrix`] does.
+/// Runs the full 7×2 pitfall matrix (see [`cases::run_matrix_of`]).
 pub fn run_matrix() -> Vec<PitfallCell> {
-    let lowered: Vec<(Pitfall, LoweredUnit)> = Pitfall::ALL
-        .iter()
-        .map(|&p| {
-            let unit = cheri_c::parse(source(p)).expect("pitfall cases always parse");
-            (p, LoweredUnit::new(&unit))
-        })
-        .collect();
-    let row = |model: ModelKind| -> Vec<PitfallCell> {
-        lowered
-            .iter()
-            .map(|(p, lu)| {
-                let r = lu.run(model).map(|res| {
-                    assert_eq!(res.exit_code, 0, "pitfall case must exit 0 when it works");
-                });
-                PitfallCell {
-                    model,
-                    pitfall: *p,
-                    works: r.is_ok(),
-                    failure: r.err().map(|e| e.to_string()),
-                }
-            })
-            .collect()
-    };
-    let per_model = cheri_interp::fan_out_ordered(&ModelKind::ALL, |&model| row(model));
-    per_model.into_iter().flatten().collect()
+    cases::run_matrix_of(&Pitfall::ALL, source)
 }
 
 #[cfg(test)]
@@ -177,11 +139,11 @@ mod tests {
     #[test]
     fn measured_matrix_matches_expected() {
         for cell in run_matrix() {
-            let want = expected(cell.model, cell.pitfall).works();
+            let want = expected(cell.model, cell.case).works();
             assert_eq!(
                 cell.works, want,
                 "pitfall mismatch at ({}, {}): measured {} expected {} ({:?})",
-                cell.model, cell.pitfall, cell.works, want, cell.failure
+                cell.model, cell.case, cell.works, want, cell.failure
             );
         }
     }

@@ -218,24 +218,9 @@ impl Allocator {
         Ok(())
     }
 
-    /// Whether `addr` is the base of a live allocation, and its padded size.
-    pub fn lookup(&self, addr: u64) -> Option<u64> {
-        self.live.get(&addr).copied()
-    }
-
     /// Iterates over `(base, padded_size)` of all live allocations.
     pub fn live_blocks(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.live.iter().map(|(&b, &s)| (b, s))
-    }
-
-    /// Finds the live allocation containing `addr`, if any. This is the
-    /// object-table lookup the *Relaxed* interpreter model performs to
-    /// rebuild a pointer from an integer (paper §5.1).
-    pub fn block_containing(&self, addr: u64) -> Option<(u64, u64)> {
-        self.live
-            .iter()
-            .find(|&(&b, &s)| addr >= b && addr < b + s)
-            .map(|(&b, &s)| (b, s))
     }
 }
 
@@ -317,14 +302,6 @@ mod tests {
         a.free(xs[0]).unwrap();
         a.free(xs[2]).unwrap();
         assert_eq!(a.alloc(0x300).unwrap(), xs[0]);
-    }
-
-    #[test]
-    fn block_containing_finds_interior() {
-        let mut a = Allocator::new(0x40, 0x1000);
-        let x = a.alloc(100).unwrap();
-        assert_eq!(a.block_containing(x + 50), Some((x, 128)));
-        assert_eq!(a.block_containing(x + 128), None);
     }
 
     #[test]

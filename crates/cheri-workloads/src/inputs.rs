@@ -4,7 +4,7 @@
 //! trace and compresses "files of varying sizes" with zlib. Neither input
 //! is redistributable, so we synthesize equivalents with seeded generators:
 //! what the experiments measure is parsing/compression *work*, not trace
-//! content (see DESIGN.md's substitution table).
+//! content.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

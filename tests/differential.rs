@@ -4,9 +4,11 @@
 //! storage. Any divergence is a bug in a model, the code generator, the
 //! emulator, or the capability compression.
 
-use cheri::compile::{compile, Abi};
-use cheri::interp::{run_main, ModelKind};
-use cheri::vm::{CapFormat, TrapCause, Vm, VmConfig};
+mod common;
+
+use cheri::interp::ModelKind;
+use cheri::vm::TrapCause;
+use common::{exit_codes_everywhere, run_everywhere};
 use proptest::prelude::*;
 
 /// A tiny expression grammar: integer arithmetic, comparisons and array
@@ -81,40 +83,6 @@ fn program(exprs: &[E], inits: &[i32; NVARS]) -> String {
     format!("int main(void) {{\n{body}}}\n")
 }
 
-/// Per-substrate VM outcome: exit code or the trap that stopped the run.
-type VmVerdict = (String, Result<i64, TrapCause>);
-
-/// Runs `src` on every interpreter model (expecting one agreed exit code)
-/// and on every VM substrate (the three ABIs plus CHERIv3 on Cap128),
-/// returning the VM outcomes for per-substrate verdict checks.
-fn run_everywhere(src: &str) -> (Vec<i64>, Vec<VmVerdict>) {
-    let unit = cheri::c::parse(src).expect("edge-case program parses");
-    let interp: Vec<i64> = ModelKind::ALL
-        .iter()
-        .map(|&m| {
-            run_main(&unit, m)
-                .unwrap_or_else(|e| panic!("{m}: {e}\n{src}"))
-                .exit_code
-        })
-        .collect();
-    let mut vms = Vec::new();
-    let mut v3 = None;
-    for abi in Abi::ALL {
-        let prog = compile(src, abi).unwrap_or_else(|e| panic!("{abi}: {e}\n{src}"));
-        if abi == Abi::CheriV3 {
-            v3 = Some(prog.clone());
-        }
-        let mut vm = Vm::new(prog, VmConfig::functional());
-        let r = vm.run(50_000_000).map(|s| s.code).map_err(|t| t.cause);
-        vms.push((abi.to_string(), r));
-    }
-    let cfg = VmConfig::functional().with_cap_format(CapFormat::Cap128);
-    let mut vm = Vm::new(v3.expect("Abi::ALL contains CheriV3"), cfg);
-    let r = vm.run(50_000_000).map(|s| s.code).map_err(|t| t.cause);
-    vms.push(("CHERIv3+Cap128".to_string(), r));
-    (interp, vms)
-}
-
 /// `i64::MIN / -1` and `i64::MIN % -1`: the seven interpreter models use
 /// two's-complement wrapping (`MIN / -1 == MIN`, `MIN % -1 == 0`), while
 /// the VM's trapping `div`/`rem` (§3.1.1 hardware-assisted AIR) raise
@@ -133,13 +101,14 @@ fn i64_min_division_edge_cases_have_expected_verdicts() {
             "int main(void) {{\n    long min = 1;\n    long m1 = 1;\n    \
              min = min << 63;\n    m1 = m1 - 2;\n    {stmt}\n}}\n"
         );
-        let (interp, vms) = run_everywhere(&src);
-        for (m, code) in ModelKind::ALL.iter().zip(&interp) {
-            assert_eq!(*code, expected, "{name}: model {m} did not wrap");
+        let outcomes = run_everywhere(&src);
+        let (interp, vms) = outcomes.split_at(ModelKind::ALL.len());
+        for (m, r) in interp {
+            assert_eq!(*r, Ok(expected), "{name}: model {m} did not wrap");
         }
-        for (abi, r) in &vms {
+        for (abi, r) in vms {
             assert_eq!(
-                *r,
+                r.map_err(|t| t.cause),
                 Err(TrapCause::IntegerOverflow),
                 "{name}: VM substrate {abi} must trap IntegerOverflow"
             );
@@ -164,11 +133,12 @@ fn oversized_shift_amounts_agree_everywhere() {
             "int main(void) {{\n    long one = 1;\n    long four = 4;\n    \
              long s64 = 64;\n    {stmt}\n}}\n"
         );
-        let (interp, vms) = run_everywhere(&src);
-        for (m, code) in ModelKind::ALL.iter().zip(&interp) {
-            assert_eq!(*code, expected, "{name}: model {m} disagrees");
+        let outcomes = run_everywhere(&src);
+        let (interp, vms) = outcomes.split_at(ModelKind::ALL.len());
+        for (m, r) in interp {
+            assert_eq!(*r, Ok(expected), "{name}: model {m} disagrees");
         }
-        for (abi, r) in &vms {
+        for (abi, r) in vms {
             assert_eq!(*r, Ok(expected), "{name}: VM substrate {abi} disagrees");
         }
     }
@@ -177,40 +147,14 @@ fn oversized_shift_amounts_agree_everywhere() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Ten substrates, one answer.
+    /// Eleven substrates, one answer.
     #[test]
     fn all_substrates_agree(
         exprs in proptest::collection::vec(arb_expr(), 1..5),
         inits in proptest::array::uniform3(-50i32..50),
     ) {
         let src = program(&exprs, &inits);
-        let unit = cheri::c::parse(&src).expect("generated program parses");
-        let mut answers: Vec<(String, i64)> = Vec::new();
-        for model in ModelKind::ALL {
-            let r = run_main(&unit, model)
-                .unwrap_or_else(|e| panic!("{model}: {e}\n{src}"));
-            answers.push((model.to_string(), r.exit_code));
-        }
-        let mut v3_prog = None;
-        for abi in Abi::ALL {
-            let prog = compile(&src, abi).unwrap_or_else(|e| panic!("{abi}: {e}\n{src}"));
-            if abi == Abi::CheriV3 {
-                v3_prog = Some(prog.clone());
-            }
-            let mut vm = Vm::new(prog, VmConfig::functional());
-            let exit = vm.run(50_000_000).unwrap_or_else(|e| panic!("{abi}: {e}\n{src}"));
-            answers.push((abi.to_string(), exit.code));
-        }
-        // Eleventh substrate: CHERIv3 with 128-bit compressed capability
-        // storage — the verdict must not depend on the in-memory format.
-        {
-            let cfg = VmConfig::functional().with_cap_format(CapFormat::Cap128);
-            let mut vm = Vm::new(v3_prog.expect("Abi::ALL contains CheriV3"), cfg);
-            let exit = vm
-                .run(50_000_000)
-                .unwrap_or_else(|e| panic!("CHERIv3+Cap128: {e}\n{src}"));
-            answers.push(("CHERIv3+Cap128".to_string(), exit.code));
-        }
+        let answers = exit_codes_everywhere(&src);
         let expect = answers[0].1;
         for (name, got) in &answers {
             prop_assert_eq!(*got, expect, "{} disagrees on:\n{}", name, &src);

@@ -19,10 +19,11 @@
 //! `intptr_t` round trips, flag-masking stashes, nested-loop pointer
 //! walks, and pointer escapes across a call boundary.
 
-use cheri::compile::{compile, Abi};
+mod common;
+
 use cheri::interp::{run_main, ModelKind};
 use cheri::lint::analyze_source;
-use cheri::vm::{CapFormat, Vm, VmConfig};
+use common::exit_codes_everywhere;
 use proptest::prelude::*;
 
 /// Number of generated programs; the issue floor is 500.
@@ -167,38 +168,6 @@ fn gen_program(seed: u64) -> String {
     }
 }
 
-/// Exit codes on all eleven substrates (panics on any trap — callers only
-/// use this for programs every substrate must run).
-fn run_all_substrates(src: &str) -> Vec<(String, i64)> {
-    let unit = cheri::c::parse(src).expect("generated program parses");
-    let mut out: Vec<(String, i64)> = ModelKind::ALL
-        .iter()
-        .map(|&m| {
-            let r = run_main(&unit, m).unwrap_or_else(|e| panic!("{m}: {e}\n{src}"));
-            (m.to_string(), r.exit_code)
-        })
-        .collect();
-    let mut v3 = None;
-    for abi in Abi::ALL {
-        let prog = compile(src, abi).unwrap_or_else(|e| panic!("{abi}: {e}\n{src}"));
-        if abi == Abi::CheriV3 {
-            v3 = Some(prog.clone());
-        }
-        let mut vm = Vm::new(prog, VmConfig::functional());
-        let exit = vm
-            .run(50_000_000)
-            .unwrap_or_else(|e| panic!("{abi}: {e}\n{src}"));
-        out.push((abi.to_string(), exit.code));
-    }
-    let cfg = VmConfig::functional().with_cap_format(CapFormat::Cap128);
-    let mut vm = Vm::new(v3.expect("Abi::ALL contains CheriV3"), cfg);
-    let exit = vm
-        .run(50_000_000)
-        .unwrap_or_else(|e| panic!("CHERIv3+Cap128: {e}\n{src}"));
-    out.push(("CHERIv3+Cap128".to_string(), exit.code));
-    out
-}
-
 #[test]
 fn lint_is_sound_on_generated_programs() {
     let mut portable_count = 0u64;
@@ -233,7 +202,7 @@ fn lint_is_sound_on_generated_programs() {
         // on all eleven substrates.
         if report.portable() {
             portable_count += 1;
-            let answers = run_all_substrates(&src);
+            let answers = exit_codes_everywhere(&src);
             let expect = answers[0].1;
             for (name, got) in &answers {
                 assert_eq!(
@@ -279,7 +248,7 @@ proptest! {
             }
         }
         if report.portable() {
-            let answers = run_all_substrates(&src);
+            let answers = exit_codes_everywhere(&src);
             let expect = answers[0].1;
             for (name, got) in &answers {
                 prop_assert_eq!(
