@@ -19,7 +19,7 @@
 //! defeats even the schemes Int qualifies under.
 
 use crate::cases::{self, Cell, Support};
-use cheri_interp::{ModelKind, RtError};
+use cheri_interp::ModelKind;
 use std::fmt;
 
 /// A CRuby-porting pitfall beyond the Table 1 taxonomy.
@@ -115,15 +115,6 @@ pub fn qualification(model: ModelKind, pitfall: Pitfall) -> Option<&'static str>
     }
 }
 
-/// Runs the canonical case for `pitfall` under `model`.
-///
-/// # Errors
-///
-/// The [`RtError`] that stopped the program, normally a model violation.
-pub fn run_case(model: ModelKind, pitfall: Pitfall) -> Result<(), RtError> {
-    cases::run_program(model, source(pitfall))
-}
-
 /// One measured cell of the pitfall matrix.
 pub type PitfallCell = Cell<Pitfall>;
 
@@ -150,14 +141,16 @@ mod tests {
 
     #[test]
     fn cheri_refuses_both_pitfalls_with_tag_faults() {
-        for model in [ModelKind::CheriV2, ModelKind::CheriV3] {
-            for p in Pitfall::ALL {
-                let err = run_case(model, p).expect_err("CHERI must trap");
-                assert!(
-                    err.to_string().contains("tag"),
-                    "({model}, {p}) should be a tag fault, got: {err}"
-                );
+        for cell in run_matrix() {
+            let (model, p) = (cell.model, cell.case);
+            if !matches!(model, ModelKind::CheriV2 | ModelKind::CheriV3) {
+                continue;
             }
+            let err = cell.failure.expect("CHERI must trap");
+            assert!(
+                err.contains("tag"),
+                "({model}, {p}) should be a tag fault, got: {err}"
+            );
         }
     }
 

@@ -11,7 +11,8 @@
 //!   program that happens to run (a `?` cell); those are counted and
 //!   pinned so precision cannot regress silently.
 
-use cheri_idioms::{cases, pitfalls, Idiom};
+use cheri_idioms::cases::{self, Cell};
+use cheri_idioms::{pitfalls, Idiom};
 use cheri_interp::ModelKind;
 use cheri_lint::analyze_source;
 
@@ -19,26 +20,31 @@ use cheri_lint::analyze_source;
 type Canonical = (String, &'static str, Vec<(ModelKind, bool)>);
 
 /// All 10 canonical programs: the 8 Table 3 idiom cases + the 2 CRuby
-/// pitfalls, with their dynamic truth per model.
+/// pitfalls, with their dynamic truth per model read off the matrix
+/// runs (each program parsed and lowered once).
 fn canonical_programs() -> Vec<Canonical> {
+    fn truth<C: PartialEq>(cells: &[Cell<C>], case: C) -> Vec<(ModelKind, bool)> {
+        cells
+            .iter()
+            .filter(|c| c.case == case)
+            .map(|c| (c.model, c.works))
+            .collect()
+    }
+    let (idiom_cells, pitfall_cells) = (cases::run_matrix(), pitfalls::run_matrix());
     let mut progs = Vec::new();
     for idiom in Idiom::ALL {
-        let truth = ModelKind::ALL
-            .iter()
-            .map(|&m| (m, cases::run_case(m, idiom).is_ok()))
-            .collect();
         progs.push((
             format!("case {}", idiom.label()),
             cases::source(idiom),
-            truth,
+            truth(&idiom_cells, idiom),
         ));
     }
     for p in pitfalls::Pitfall::ALL {
-        let truth = ModelKind::ALL
-            .iter()
-            .map(|&m| (m, pitfalls::run_case(m, p).is_ok()))
-            .collect();
-        progs.push((format!("pitfall {}", p.name()), pitfalls::source(p), truth));
+        progs.push((
+            format!("pitfall {}", p.name()),
+            pitfalls::source(p),
+            truth(&pitfall_cells, p),
+        ));
     }
     progs
 }

@@ -39,6 +39,7 @@
 //! [`BlockExit::Branch`] and [`BlockExit::Jump`] exits chain, and their
 //! terminals write neither.
 
+use crate::alu::{Alu, Cond};
 use crate::config::{BackendKind, OptLevel, VmConfig};
 use crate::ir::{Block, BlockExit, FlatOp};
 use crate::machine::Vm;
@@ -400,12 +401,12 @@ pub(crate) struct TOp {
     flat: FlatOp,
 }
 
-/// A handler's verdict from a `Result`: the next pc, or `None` with the
-/// cause parked in `trap`.
+/// A handler's verdict from a `Result`: the value (usually the next pc),
+/// or `None` with the cause parked in `trap`.
 #[inline(always)]
-fn settle(r: Result<u64, TrapCause>, trap: &mut Option<TrapCause>) -> Option<u64> {
+fn settle<T>(r: Result<T, TrapCause>, trap: &mut Option<TrapCause>) -> Option<T> {
     match r {
-        Ok(next) => Some(next),
+        Ok(v) => Some(v),
         Err(cause) => {
             *trap = Some(cause);
             None
@@ -413,65 +414,83 @@ fn settle(r: Result<u64, TrapCause>, trap: &mut Option<TrapCause>) -> Option<u64
     }
 }
 
-macro_rules! alu2 {
-    ($name:ident, |$x:ident, $y:ident| $v:expr) => {
-        fn $name(vm: &mut Vm, t: &TOp, pc: u64, _: &mut Option<TrapCause>) -> Option<u64> {
-            let $x = vm.reg(t.b);
-            let $y = vm.reg(t.c);
-            vm.set_reg(t.a, $v);
-            Some(pc + 1)
-        }
+/// `Alu::ALL[F]` of `rs` and `rt` (or of the immediate, when `IMM`).
+/// Inlined into handlers whose `F` is a constant, so each keeps only its
+/// own arm of [`Alu::eval`], and the trap path only when that arm has one.
+#[inline(always)]
+fn alu<const F: u8, const IMM: bool>(
+    vm: &Vm,
+    t: &TOp,
+    trap: &mut Option<TrapCause>,
+) -> Option<u64> {
+    let a = vm.reg(t.b);
+    let b = if IMM { t.imm as u64 } else { vm.reg(t.c) };
+    settle(Alu::ALL[F as usize].eval(a, b), trap)
+}
+
+fn h_alu<const F: u8, const IMM: bool>(
+    vm: &mut Vm,
+    t: &TOp,
+    pc: u64,
+    trap: &mut Option<TrapCause>,
+) -> Option<u64> {
+    let v = alu::<F, IMM>(vm, t, trap)?;
+    vm.set_reg(t.a, v);
+    Some(pc + 1)
+}
+
+fn h_branch<const C: u8>(vm: &mut Vm, t: &TOp, pc: u64, _: &mut Option<TrapCause>) -> Option<u64> {
+    let taken = Cond::ALL[C as usize].holds(vm.reg(t.b), vm.reg(t.c));
+    Some(if taken { t.target } else { pc + 1 })
+}
+
+/// The compare `Alu::ALL[F]` writes `rd`, then the branch tests it; the
+/// fall-through is past both source instructions.
+fn h_fused<const F: u8, const IMM: bool, const IF: bool>(
+    vm: &mut Vm,
+    t: &TOp,
+    pc: u64,
+    trap: &mut Option<TrapCause>,
+) -> Option<u64> {
+    let v = alu::<F, IMM>(vm, t, trap)?;
+    vm.set_reg(t.a, v);
+    Some(if (v != 0) == IF { t.target } else { pc + 2 })
+}
+
+/// `[h::<0, P..>, h::<1, P..>, …]`: one monomorphic instance of handler
+/// `h` per listed selector index.
+macro_rules! handlers {
+    ($h:ident<_>: $($i:literal)*) => {
+        [$($h::<$i> as Handler),*]
+    };
+    ($h:ident<_, $p:ident>: $($i:literal)*) => {
+        [$($h::<$i, $p> as Handler),*]
     };
 }
 
-macro_rules! alu_imm {
-    ($name:ident, |$x:ident, $i:ident| $v:expr) => {
-        fn $name(vm: &mut Vm, t: &TOp, pc: u64, _: &mut Option<TrapCause>) -> Option<u64> {
-            let $x = vm.reg(t.b);
-            let $i = t.imm;
-            vm.set_reg(t.a, $v);
-            Some(pc + 1)
-        }
-    };
+/// One [`h_alu`] per [`Alu`] selector, indexed by `f as usize`.
+const fn alu_handlers<const IMM: bool>() -> [Handler; Alu::ALL.len()] {
+    handlers!(h_alu<_, IMM>: 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17)
 }
 
-macro_rules! cond_branch {
-    ($name:ident, |$x:ident, $y:ident| $taken:expr) => {
-        fn $name(vm: &mut Vm, t: &TOp, pc: u64, _: &mut Option<TrapCause>) -> Option<u64> {
-            let $x = vm.reg(t.b);
-            let $y = vm.reg(t.c);
-            Some(if $taken { t.target } else { pc + 1 })
-        }
-    };
+const ALU_REG: [Handler; Alu::ALL.len()] = alu_handlers::<false>();
+const ALU_IMM: [Handler; Alu::ALL.len()] = alu_handlers::<true>();
+/// One [`h_branch`] per [`Cond`], indexed by `c as usize`.
+const BRANCH: [Handler; Cond::ALL.len()] = handlers!(h_branch<_>: 0 1 2 3 4 5);
+
+/// The four [`h_fused`] forms of compare `F`, indexed by
+/// `2 * imm_form + branch_if`.
+const fn fused_handlers<const F: u8>() -> [Handler; 4] {
+    [
+        h_fused::<F, false, false>,
+        h_fused::<F, false, true>,
+        h_fused::<F, true, false>,
+        h_fused::<F, true, true>,
+    ]
 }
 
-alu2!(h_addu, |a, b| a.wrapping_add(b));
-alu2!(h_subu, |a, b| a.wrapping_sub(b));
-alu2!(h_and, |a, b| a & b);
-alu2!(h_or, |a, b| a | b);
-alu2!(h_xor, |a, b| a ^ b);
-alu2!(h_nor, |a, b| !(a | b));
-alu2!(h_slt, |a, b| u64::from((a as i64) < (b as i64)));
-alu2!(h_sltu, |a, b| u64::from(a < b));
-alu2!(h_sllv, |a, b| a << (b & 63));
-alu2!(h_srlv, |a, b| a >> (b & 63));
-alu2!(h_srav, |a, b| ((a as i64) >> (b & 63)) as u64);
-alu2!(h_mul, |a, b| a.wrapping_mul(b));
-alu_imm!(h_addiu, |a, i| a.wrapping_add(i as u64));
-alu_imm!(h_andi, |a, i| a & (i as u64));
-alu_imm!(h_ori, |a, i| a | (i as u64));
-alu_imm!(h_xori, |a, i| a ^ (i as u64));
-alu_imm!(h_slti, |a, i| u64::from((a as i64) < i));
-alu_imm!(h_sltiu, |a, i| u64::from(a < i as u64));
-alu_imm!(h_sll, |a, i| a << (i as u32));
-alu_imm!(h_srl, |a, i| a >> (i as u32));
-alu_imm!(h_sra, |a, i| ((a as i64) >> (i as u32)) as u64);
-cond_branch!(h_beq, |a, b| a == b);
-cond_branch!(h_bne, |a, b| a != b);
-cond_branch!(h_blez, |a, _b| a as i64 <= 0);
-cond_branch!(h_bgtz, |a, _b| a as i64 > 0);
-cond_branch!(h_bltz, |a, _b| (a as i64) < 0);
-cond_branch!(h_bgez, |a, _b| a as i64 >= 0);
+const FUSED_SLT: [Handler; 4] = fused_handlers::<{ Alu::Slt as u8 }>();
+const FUSED_SLTU: [Handler; 4] = fused_handlers::<{ Alu::Sltu as u8 }>();
 
 fn h_nop(_vm: &mut Vm, _t: &TOp, pc: u64, _: &mut Option<TrapCause>) -> Option<u64> {
     Some(pc + 1)
@@ -533,35 +552,10 @@ fn h_csc(vm: &mut Vm, t: &TOp, pc: u64, trap: &mut Option<TrapCause>) -> Option<
     settle(r.map(|()| pc + 1), trap)
 }
 
-fn h_fused<const SIGNED: bool, const IMM: bool, const IF: bool>(
-    vm: &mut Vm,
-    t: &TOp,
-    pc: u64,
-    _: &mut Option<TrapCause>,
-) -> Option<u64> {
-    let a = vm.reg(t.b);
-    let v = if IMM {
-        if SIGNED {
-            u64::from((a as i64) < t.imm)
-        } else {
-            u64::from(a < t.imm as u64)
-        }
-    } else {
-        let b = vm.reg(t.c);
-        if SIGNED {
-            u64::from((a as i64) < (b as i64))
-        } else {
-            u64::from(a < b)
-        }
-    };
-    vm.set_reg(t.a, v);
-    Some(if (v != 0) == IF { t.target } else { pc + 2 })
-}
-
 /// Runs the op through `exec_flat`, which keeps every capability/trap
 /// decision in exactly one place: every op of a reference body, and the
-/// template tier's long tail — the remaining capability ops, division,
-/// syscalls and capability jumps.
+/// template tier's long tail — the remaining capability ops, syscalls and
+/// capability jumps.
 fn h_flat(vm: &mut Vm, t: &TOp, pc: u64, trap: &mut Option<TrapCause>) -> Option<u64> {
     settle(vm.exec_flat(&t.flat, pc), trap)
 }
@@ -594,62 +588,35 @@ pub(crate) fn bind(kind: BackendKind, op: &FlatOp) -> TOp {
     }
     match *op {
         FlatOp::Nop => set!(h_nop, 0, 0, 0, 0, 0),
-        FlatOp::Addu { rd, rs, rt } => set!(h_addu, rd, rs, rt, 0, 0),
-        FlatOp::Subu { rd, rs, rt } => set!(h_subu, rd, rs, rt, 0, 0),
-        FlatOp::And { rd, rs, rt } => set!(h_and, rd, rs, rt, 0, 0),
-        FlatOp::Or { rd, rs, rt } => set!(h_or, rd, rs, rt, 0, 0),
-        FlatOp::Xor { rd, rs, rt } => set!(h_xor, rd, rs, rt, 0, 0),
-        FlatOp::Nor { rd, rs, rt } => set!(h_nor, rd, rs, rt, 0, 0),
-        FlatOp::Slt { rd, rs, rt } => set!(h_slt, rd, rs, rt, 0, 0),
-        FlatOp::Sltu { rd, rs, rt } => set!(h_sltu, rd, rs, rt, 0, 0),
-        FlatOp::Sllv { rd, rs, rt } => set!(h_sllv, rd, rs, rt, 0, 0),
-        FlatOp::Srlv { rd, rs, rt } => set!(h_srlv, rd, rs, rt, 0, 0),
-        FlatOp::Srav { rd, rs, rt } => set!(h_srav, rd, rs, rt, 0, 0),
-        FlatOp::Mul { rd, rs, rt } => set!(h_mul, rd, rs, rt, 0, 0),
-        // The trapping arithmetic (add/sub/addi, div/divu/rem/remu)
-        // stays on `exec_flat`: the compiler emits the wrapping forms, and
-        // a trap decision is not worth a second copy.
-        FlatOp::Addiu { rd, rs, imm } => set!(h_addiu, rd, rs, 0, imm as i64, 0),
-        FlatOp::Andi { rd, rs, imm } => set!(h_andi, rd, rs, 0, imm as i64, 0),
-        FlatOp::Ori { rd, rs, imm } => set!(h_ori, rd, rs, 0, imm as i64, 0),
-        FlatOp::Xori { rd, rs, imm } => set!(h_xori, rd, rs, 0, imm as i64, 0),
-        FlatOp::Slti { rd, rs, imm } => set!(h_slti, rd, rs, 0, imm, 0),
-        FlatOp::Sltiu { rd, rs, imm } => set!(h_sltiu, rd, rs, 0, imm as i64, 0),
+        FlatOp::Alu { f, rd, rs, rt } => set!(ALU_REG[f as usize], rd, rs, rt, 0, 0),
+        FlatOp::AluImm { f, rd, rs, imm } => {
+            set!(ALU_IMM[f as usize], rd, rs, 0, imm as i64, 0)
+        }
         FlatOp::Li { rd, v } => set!(h_li, rd, 0, 0, v as i64, 0),
-        FlatOp::Sll { rd, rs, sh } => set!(h_sll, rd, rs, 0, i64::from(sh), 0),
-        FlatOp::Srl { rd, rs, sh } => set!(h_srl, rd, rs, 0, i64::from(sh), 0),
-        FlatOp::Sra { rd, rs, sh } => set!(h_sra, rd, rs, 0, i64::from(sh), 0),
-        FlatOp::Beq { rs, rt, target } => set!(h_beq, 0, rs, rt, 0, target),
-        FlatOp::Bne { rs, rt, target } => set!(h_bne, 0, rs, rt, 0, target),
-        FlatOp::Blez { rs, target } => set!(h_blez, 0, rs, 0, 0, target),
-        FlatOp::Bgtz { rs, target } => set!(h_bgtz, 0, rs, 0, 0, target),
-        FlatOp::Bltz { rs, target } => set!(h_bltz, 0, rs, 0, 0, target),
-        FlatOp::Bgez { rs, target } => set!(h_bgez, 0, rs, 0, 0, target),
+        FlatOp::Branch { c, rs, rt, target } => set!(BRANCH[c as usize], 0, rs, rt, 0, target),
         FlatOp::J { target } => set!(h_j, 0, 0, 0, 0, target),
         FlatOp::Jal { target } => set!(h_jal, 0, 0, 0, 0, target),
         FlatOp::Jr { rs } => set!(h_jr, 0, rs, 0, 0, 0),
         FlatOp::Jalr { rd, rs } => set!(h_jalr, rd, rs, 0, 0, 0),
         FlatOp::FusedCmpBranch {
+            f,
             rd,
             rs,
             rt,
             imm,
-            signed,
             imm_form,
             branch_if,
             target,
         } => {
-            let run = match (signed, imm_form, branch_if) {
-                (true, true, true) => h_fused::<true, true, true>,
-                (true, true, false) => h_fused::<true, true, false>,
-                (true, false, true) => h_fused::<true, false, true>,
-                (true, false, false) => h_fused::<true, false, false>,
-                (false, true, true) => h_fused::<false, true, true>,
-                (false, true, false) => h_fused::<false, true, false>,
-                (false, false, true) => h_fused::<false, false, true>,
-                (false, false, false) => h_fused::<false, false, false>,
+            // The peephole fuses only `slt`/`sltu`; any other compare
+            // would keep `h_flat`.
+            let forms = match f {
+                Alu::Slt => &FUSED_SLT,
+                Alu::Sltu => &FUSED_SLTU,
+                _ => return t,
             };
-            set!(run, rd, rs, rt, imm, target);
+            let run = forms[2 * usize::from(imm_form) + usize::from(branch_if)];
+            set!(run, rd, rs, rt, imm as i64, target);
         }
         FlatOp::Load {
             rd,

@@ -9,6 +9,15 @@
 //! the `CPtrCmp` selector decoded), so the block engine executes the whole
 //! block without per-step fetch-window compares or per-op statistics.
 //!
+//! Flattening also strips the opcode from integer work. The 28 integer
+//! ALU opcodes become [`FlatOp::Alu`] or [`FlatOp::AluImm`] with an
+//! [`Alu`] selector, and the six conditional branches become
+//! [`FlatOp::Branch`] with a [`Cond`]. Each immediate opcode lands on its
+//! register twin (`addi` on `add`, `ori` on `or`, `sll` on `sllv`), so
+//! the value, overflow, divide-by-zero and branch decision of every
+//! integer op live only in [`Alu::eval`] and [`Cond::holds`]
+//! ([`crate::alu`]).
+//!
 //! The IR is decoupled from dispatch: a [`Block`] carries everything the
 //! engine needs — the micro-ops, the raw opcode array and histogram for
 //! statistics reconstruction, the hoisted base-cycle sum, and a
@@ -39,141 +48,35 @@
 //! the same one full `set_offset` + `check_access` the per-instruction
 //! interpreter would, keeping `VmStats::fetch_checks` identical.
 
+use crate::alu::{Alu, Cond};
 use cheri_isa::{CmpOp, ControlKind, Instr, Op};
 
-/// One flattened micro-op: every opcode has its own variant, with its
-/// operands decoded at build time. `machine::Vm::exec_flat` is the one
-/// place that gives them meaning, for block bodies and single steps
-/// alike. [`FlatOp::FusedCmpBranch`] is the one op with no 1:1 source
+/// One flattened micro-op, with its operands decoded at build time.
+/// `machine::Vm::exec_flat` is the one place that gives them meaning,
+/// for block bodies and single steps alike.
+///
+/// Integer ops and conditional branches come in three shapes that carry
+/// a selector ([`Alu`] or [`Cond`]) instead of one variant per opcode:
+/// the register form, the immediate form (the immediate already
+/// extended, shift amounts already masked) and the branch.
+/// [`FlatOp::FusedCmpBranch`] is the one op with no 1:1 source
 /// instruction: the peephole pass synthesises it from a compare + branch
-/// pair (see [`crate::opt`]).
+/// pair (see [`crate::opt`]). Memory and capability ops keep a variant
+/// each, with loads and stores unified by width and addressing mode.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum FlatOp {
     Nop,
-    // Trapping signed arithmetic (§3.1.1).
-    Add {
+    /// `rd = f(rs, rt)`.
+    Alu {
+        f: Alu,
         rd: u8,
         rs: u8,
         rt: u8,
     },
-    Sub {
-        rd: u8,
-        rs: u8,
-        rt: u8,
-    },
-    Addi {
-        rd: u8,
-        rs: u8,
-        imm: i64,
-    },
-    // Wrapping / logical ALU.
-    Addu {
-        rd: u8,
-        rs: u8,
-        rt: u8,
-    },
-    Subu {
-        rd: u8,
-        rs: u8,
-        rt: u8,
-    },
-    And {
-        rd: u8,
-        rs: u8,
-        rt: u8,
-    },
-    Or {
-        rd: u8,
-        rs: u8,
-        rt: u8,
-    },
-    Xor {
-        rd: u8,
-        rs: u8,
-        rt: u8,
-    },
-    Nor {
-        rd: u8,
-        rs: u8,
-        rt: u8,
-    },
-    Slt {
-        rd: u8,
-        rs: u8,
-        rt: u8,
-    },
-    Sltu {
-        rd: u8,
-        rs: u8,
-        rt: u8,
-    },
-    Sllv {
-        rd: u8,
-        rs: u8,
-        rt: u8,
-    },
-    Srlv {
-        rd: u8,
-        rs: u8,
-        rt: u8,
-    },
-    Srav {
-        rd: u8,
-        rs: u8,
-        rt: u8,
-    },
-    Mul {
-        rd: u8,
-        rs: u8,
-        rt: u8,
-    },
-    Div {
-        rd: u8,
-        rs: u8,
-        rt: u8,
-    },
-    Divu {
-        rd: u8,
-        rs: u8,
-        rt: u8,
-    },
-    Rem {
-        rd: u8,
-        rs: u8,
-        rt: u8,
-    },
-    Remu {
-        rd: u8,
-        rs: u8,
-        rt: u8,
-    },
-    // Immediate ALU, extension pre-applied.
-    Addiu {
-        rd: u8,
-        rs: u8,
-        imm: u64,
-    },
-    Andi {
-        rd: u8,
-        rs: u8,
-        imm: u64,
-    },
-    Ori {
-        rd: u8,
-        rs: u8,
-        imm: u64,
-    },
-    Xori {
-        rd: u8,
-        rs: u8,
-        imm: u64,
-    },
-    Slti {
-        rd: u8,
-        rs: u8,
-        imm: i64,
-    },
-    Sltiu {
+    /// `rd = f(rs, imm)`, `imm` sign- or zero-extended as the source
+    /// opcode says, or a shift amount masked to six bits.
+    AluImm {
+        f: Alu,
         rd: u8,
         rs: u8,
         imm: u64,
@@ -183,47 +86,14 @@ pub(crate) enum FlatOp {
         rd: u8,
         v: u64,
     },
-    Sll {
-        rd: u8,
-        rs: u8,
-        sh: u32,
-    },
-    Srl {
-        rd: u8,
-        rs: u8,
-        sh: u32,
-    },
-    Sra {
-        rd: u8,
-        rs: u8,
-        sh: u32,
-    },
     // Branches and jumps: absolute targets pre-cast to instruction
     // indices. These are always a block's terminal op.
-    Beq {
+    /// Branch to `target` when `c` holds for `rs` and `rt` (`r0` for the
+    /// one-operand forms).
+    Branch {
+        c: Cond,
         rs: u8,
         rt: u8,
-        target: u64,
-    },
-    Bne {
-        rs: u8,
-        rt: u8,
-        target: u64,
-    },
-    Blez {
-        rs: u8,
-        target: u64,
-    },
-    Bgtz {
-        rs: u8,
-        target: u64,
-    },
-    Bltz {
-        rs: u8,
-        target: u64,
-    },
-    Bgez {
-        rs: u8,
         target: u64,
     },
     J {
@@ -241,18 +111,18 @@ pub(crate) enum FlatOp {
     },
     /// A compare feeding a terminal branch on its result, fused by the
     /// peephole pass into one micro-op covering *two* source
-    /// instructions: `v = cmp(...)`; `rd = v`; branch when
-    /// `(v != 0) == branch_if`. Neither component can trap, and the
-    /// compare's register write is preserved, so the fusion is
-    /// unobservable outside dispatch count. `target` is the taken pc; the
-    /// fall-through is `pc + 2` (the op sits at the compare's slot).
+    /// instructions: `v = f(rs, rt or imm)`; `rd = v`; branch when
+    /// `(v != 0) == branch_if`. `f` is [`Alu::Slt`] or [`Alu::Sltu`], so
+    /// neither component can trap, and the compare's register write is
+    /// preserved: the fusion is unobservable outside dispatch count.
+    /// `target` is the taken pc; the fall-through is `pc + 2` (the op
+    /// sits at the compare's slot).
     FusedCmpBranch {
+        f: Alu,
         rd: u8,
         rs: u8,
         rt: u8,
-        imm: i64,
-        /// Signed (`slt`/`slti`) vs unsigned (`sltu`/`sltiu`) compare.
-        signed: bool,
+        imm: u64,
         /// Compare against `imm` instead of `reg(rt)`.
         imm_form: bool,
         /// Branch when the comparison result is 1 (`bne rd, r0`) vs 0
@@ -403,99 +273,56 @@ pub(crate) enum FlatOp {
 pub(crate) fn flatten(i: Instr) -> FlatOp {
     let (rd, rs, rt, imm) = (i.rd, i.rs, i.rt, i.imm);
     let simm = imm as i64;
+    let alu = |f| FlatOp::Alu { f, rd, rs, rt };
+    let alu_imm = |f, imm| FlatOp::AluImm { f, rd, rs, imm };
+    let branch = |c, rt| FlatOp::Branch {
+        c,
+        rs,
+        rt,
+        target: imm as u64,
+    };
+    let (sext, zext, shamt) = (simm as u64, imm as u32 as u64, imm as u64 & 63);
     match i.op {
         Op::Nop => FlatOp::Nop,
-        Op::Add => FlatOp::Add { rd, rs, rt },
-        Op::Sub => FlatOp::Sub { rd, rs, rt },
-        Op::Addi => FlatOp::Addi { rd, rs, imm: simm },
-        Op::Addu => FlatOp::Addu { rd, rs, rt },
-        Op::Subu => FlatOp::Subu { rd, rs, rt },
-        Op::And => FlatOp::And { rd, rs, rt },
-        Op::Or => FlatOp::Or { rd, rs, rt },
-        Op::Xor => FlatOp::Xor { rd, rs, rt },
-        Op::Nor => FlatOp::Nor { rd, rs, rt },
-        Op::Slt => FlatOp::Slt { rd, rs, rt },
-        Op::Sltu => FlatOp::Sltu { rd, rs, rt },
-        Op::Sllv => FlatOp::Sllv { rd, rs, rt },
-        Op::Srlv => FlatOp::Srlv { rd, rs, rt },
-        Op::Srav => FlatOp::Srav { rd, rs, rt },
-        Op::Mul => FlatOp::Mul { rd, rs, rt },
-        Op::Div => FlatOp::Div { rd, rs, rt },
-        Op::Divu => FlatOp::Divu { rd, rs, rt },
-        Op::Rem => FlatOp::Rem { rd, rs, rt },
-        Op::Remu => FlatOp::Remu { rd, rs, rt },
-        Op::Addiu => FlatOp::Addiu {
-            rd,
-            rs,
-            imm: simm as u64,
-        },
-        Op::Andi => FlatOp::Andi {
-            rd,
-            rs,
-            imm: imm as u32 as u64,
-        },
-        Op::Ori => FlatOp::Ori {
-            rd,
-            rs,
-            imm: imm as u32 as u64,
-        },
-        Op::Xori => FlatOp::Xori {
-            rd,
-            rs,
-            imm: imm as u32 as u64,
-        },
-        Op::Slti => FlatOp::Slti { rd, rs, imm: simm },
-        Op::Sltiu => FlatOp::Sltiu {
-            rd,
-            rs,
-            imm: simm as u64,
-        },
+        Op::Add => alu(Alu::Add),
+        Op::Sub => alu(Alu::Sub),
+        Op::Addu => alu(Alu::Addu),
+        Op::Subu => alu(Alu::Subu),
+        Op::And => alu(Alu::And),
+        Op::Or => alu(Alu::Or),
+        Op::Xor => alu(Alu::Xor),
+        Op::Nor => alu(Alu::Nor),
+        Op::Slt => alu(Alu::Slt),
+        Op::Sltu => alu(Alu::Sltu),
+        Op::Sllv => alu(Alu::Sllv),
+        Op::Srlv => alu(Alu::Srlv),
+        Op::Srav => alu(Alu::Srav),
+        Op::Mul => alu(Alu::Mul),
+        Op::Div => alu(Alu::Div),
+        Op::Divu => alu(Alu::Divu),
+        Op::Rem => alu(Alu::Rem),
+        Op::Remu => alu(Alu::Remu),
+        Op::Addi => alu_imm(Alu::Add, sext),
+        Op::Addiu => alu_imm(Alu::Addu, sext),
+        Op::Andi => alu_imm(Alu::And, zext),
+        Op::Ori => alu_imm(Alu::Or, zext),
+        Op::Xori => alu_imm(Alu::Xor, zext),
+        Op::Slti => alu_imm(Alu::Slt, sext),
+        Op::Sltiu => alu_imm(Alu::Sltu, sext),
+        Op::Sll => alu_imm(Alu::Sllv, shamt),
+        Op::Srl => alu_imm(Alu::Srlv, shamt),
+        Op::Sra => alu_imm(Alu::Srav, shamt),
         Op::Lui => FlatOp::Li {
             rd,
             v: (simm << 16) as u64,
         },
-        Op::Li => FlatOp::Li { rd, v: simm as u64 },
-        Op::Sll => FlatOp::Sll {
-            rd,
-            rs,
-            sh: imm as u32 & 63,
-        },
-        Op::Srl => FlatOp::Srl {
-            rd,
-            rs,
-            sh: imm as u32 & 63,
-        },
-        Op::Sra => FlatOp::Sra {
-            rd,
-            rs,
-            sh: imm as u32 & 63,
-        },
-        Op::Beq => FlatOp::Beq {
-            rs,
-            rt,
-            target: imm as u64,
-        },
-        Op::Bne => FlatOp::Bne {
-            rs,
-            rt,
-            target: imm as u64,
-        },
-        Op::Blez => FlatOp::Blez {
-            rs,
-            target: imm as u64,
-        },
-        Op::Bgtz => FlatOp::Bgtz {
-            rs,
-            target: imm as u64,
-        },
-        Op::Bltz => FlatOp::Bltz {
-            rs,
-            target: imm as u64,
-        },
-        Op::Bgez => FlatOp::Bgez {
-            rs,
-            target: imm as u64,
-        },
+        Op::Li => FlatOp::Li { rd, v: sext },
+        Op::Beq => branch(Cond::Eq, rt),
+        Op::Bne => branch(Cond::Ne, rt),
+        Op::Blez => branch(Cond::Lez, 0),
+        Op::Bgtz => branch(Cond::Gtz, 0),
+        Op::Bltz => branch(Cond::Ltz, 0),
+        Op::Bgez => branch(Cond::Gez, 0),
         Op::J => FlatOp::J { target: imm as u64 },
         Op::Jal => FlatOp::Jal { target: imm as u64 },
         Op::Jr => FlatOp::Jr { rs },
@@ -787,7 +614,20 @@ mod tests {
         ));
         assert!(matches!(
             flatten(Instr::i2(Op::Sll, 4, 5, 200)),
-            FlatOp::Sll { sh: 8, .. }
+            FlatOp::AluImm {
+                f: Alu::Sllv,
+                imm: 8,
+                ..
+            }
+        ));
+        assert!(matches!(
+            flatten(Instr::new(Op::Blez, 0, 5, 9, 7)),
+            FlatOp::Branch {
+                c: Cond::Lez,
+                rs: 5,
+                rt: 0,
+                target: 7
+            }
         ));
         assert!(matches!(
             flatten(Instr::c_ptr_cmp(2, 3, 4, CmpOp::Ltu)),

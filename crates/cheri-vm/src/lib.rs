@@ -37,6 +37,7 @@
 
 #![forbid(unsafe_code)]
 
+mod alu;
 mod backend;
 mod config;
 mod ir;

@@ -686,7 +686,10 @@ impl Vm {
     /// returning the next pc or the trap cause. The machine's one
     /// semantics match: single steps, the reference block body and the
     /// template tier's long tail all run through it, so each pointer and
-    /// trap decision lives in exactly one place.
+    /// trap decision lives in exactly one place. Integer values, integer
+    /// traps and branch decisions are deferred to
+    /// [`crate::alu::Alu::eval`] and [`crate::alu::Cond::holds`], which
+    /// the template handlers and the peephole folder call too.
     #[allow(clippy::too_many_lines)]
     pub(crate) fn exec_flat(&mut self, op: &FlatOp, pc: u64) -> Result<u64, TrapCause> {
         let next = pc + 1;
@@ -697,99 +700,22 @@ impl Vm {
                 Ok(next)
             }};
         }
-        macro_rules! branch {
-            ($cond:expr, $target:expr) => {
-                Ok(if $cond { $target } else { next })
-            };
-        }
         match *op {
             FlatOp::Nop => Ok(next),
-            FlatOp::Add { rd, rs, rt } => {
-                let v = (self.reg(rs) as i64)
-                    .checked_add(self.reg(rt) as i64)
-                    .ok_or(TrapCause::IntegerOverflow)?;
-                alu!(rd, v as u64)
-            }
-            FlatOp::Sub { rd, rs, rt } => {
-                let v = (self.reg(rs) as i64)
-                    .checked_sub(self.reg(rt) as i64)
-                    .ok_or(TrapCause::IntegerOverflow)?;
-                alu!(rd, v as u64)
-            }
-            FlatOp::Addi { rd, rs, imm } => {
-                let v = (self.reg(rs) as i64)
-                    .checked_add(imm)
-                    .ok_or(TrapCause::IntegerOverflow)?;
-                alu!(rd, v as u64)
-            }
-            FlatOp::Addu { rd, rs, rt } => alu!(rd, self.reg(rs).wrapping_add(self.reg(rt))),
-            FlatOp::Subu { rd, rs, rt } => alu!(rd, self.reg(rs).wrapping_sub(self.reg(rt))),
-            FlatOp::And { rd, rs, rt } => alu!(rd, self.reg(rs) & self.reg(rt)),
-            FlatOp::Or { rd, rs, rt } => alu!(rd, self.reg(rs) | self.reg(rt)),
-            FlatOp::Xor { rd, rs, rt } => alu!(rd, self.reg(rs) ^ self.reg(rt)),
-            FlatOp::Nor { rd, rs, rt } => alu!(rd, !(self.reg(rs) | self.reg(rt))),
-            FlatOp::Slt { rd, rs, rt } => {
-                alu!(rd, u64::from((self.reg(rs) as i64) < (self.reg(rt) as i64)))
-            }
-            FlatOp::Sltu { rd, rs, rt } => alu!(rd, u64::from(self.reg(rs) < self.reg(rt))),
-            FlatOp::Sllv { rd, rs, rt } => alu!(rd, self.reg(rs) << (self.reg(rt) & 63)),
-            FlatOp::Srlv { rd, rs, rt } => alu!(rd, self.reg(rs) >> (self.reg(rt) & 63)),
-            FlatOp::Srav { rd, rs, rt } => {
-                alu!(rd, ((self.reg(rs) as i64) >> (self.reg(rt) & 63)) as u64)
-            }
-            FlatOp::Mul { rd, rs, rt } => alu!(rd, self.reg(rs).wrapping_mul(self.reg(rt))),
-            FlatOp::Div { rd, rs, rt } => {
-                let (a, b) = (self.reg(rs) as i64, self.reg(rt) as i64);
-                if b == 0 {
-                    return Err(TrapCause::DivideByZero);
-                }
-                let v = a.checked_div(b).ok_or(TrapCause::IntegerOverflow)?;
-                alu!(rd, v as u64)
-            }
-            FlatOp::Divu { rd, rs, rt } => {
-                let b = self.reg(rt);
-                if b == 0 {
-                    return Err(TrapCause::DivideByZero);
-                }
-                alu!(rd, self.reg(rs) / b)
-            }
-            FlatOp::Rem { rd, rs, rt } => {
-                let (a, b) = (self.reg(rs) as i64, self.reg(rt) as i64);
-                if b == 0 {
-                    return Err(TrapCause::DivideByZero);
-                }
-                let v = a.checked_rem(b).ok_or(TrapCause::IntegerOverflow)?;
-                alu!(rd, v as u64)
-            }
-            FlatOp::Remu { rd, rs, rt } => {
-                let b = self.reg(rt);
-                if b == 0 {
-                    return Err(TrapCause::DivideByZero);
-                }
-                alu!(rd, self.reg(rs) % b)
-            }
-            FlatOp::Addiu { rd, rs, imm } => alu!(rd, self.reg(rs).wrapping_add(imm)),
-            FlatOp::Andi { rd, rs, imm } => alu!(rd, self.reg(rs) & imm),
-            FlatOp::Ori { rd, rs, imm } => alu!(rd, self.reg(rs) | imm),
-            FlatOp::Xori { rd, rs, imm } => alu!(rd, self.reg(rs) ^ imm),
-            FlatOp::Slti { rd, rs, imm } => alu!(rd, u64::from((self.reg(rs) as i64) < imm)),
-            FlatOp::Sltiu { rd, rs, imm } => alu!(rd, u64::from(self.reg(rs) < imm)),
+            FlatOp::Alu { f, rd, rs, rt } => alu!(rd, f.eval(self.reg(rs), self.reg(rt))?),
+            FlatOp::AluImm { f, rd, rs, imm } => alu!(rd, f.eval(self.reg(rs), imm)?),
             FlatOp::Li { rd, v } => alu!(rd, v),
-            FlatOp::Sll { rd, rs, sh } => alu!(rd, self.reg(rs) << sh),
-            FlatOp::Srl { rd, rs, sh } => alu!(rd, self.reg(rs) >> sh),
-            FlatOp::Sra { rd, rs, sh } => alu!(rd, ((self.reg(rs) as i64) >> sh) as u64),
-            FlatOp::Beq { rs, rt, target } => branch!(self.reg(rs) == self.reg(rt), target),
-            FlatOp::Bne { rs, rt, target } => branch!(self.reg(rs) != self.reg(rt), target),
-            FlatOp::Blez { rs, target } => branch!(self.reg(rs) as i64 <= 0, target),
-            FlatOp::Bgtz { rs, target } => branch!(self.reg(rs) as i64 > 0, target),
-            FlatOp::Bltz { rs, target } => branch!((self.reg(rs) as i64) < 0, target),
-            FlatOp::Bgez { rs, target } => branch!(self.reg(rs) as i64 >= 0, target),
+            FlatOp::Branch { c, rs, rt, target } => Ok(if c.holds(self.reg(rs), self.reg(rt)) {
+                target
+            } else {
+                next
+            }),
             FlatOp::FusedCmpBranch {
+                f,
                 rd,
                 rs,
                 rt,
                 imm,
-                signed,
                 imm_form,
                 branch_if,
                 target,
@@ -797,21 +723,8 @@ impl Vm {
                 // Two source instructions in one dispatch: the compare
                 // still writes `rd`, then the branch tests its result.
                 // The fall-through is `pc + 2` — past both instructions.
-                let a = self.reg(rs);
-                let v = if imm_form {
-                    if signed {
-                        u64::from((a as i64) < imm)
-                    } else {
-                        u64::from(a < imm as u64)
-                    }
-                } else {
-                    let b = self.reg(rt);
-                    if signed {
-                        u64::from((a as i64) < (b as i64))
-                    } else {
-                        u64::from(a < b)
-                    }
-                };
+                let b = if imm_form { imm } else { self.reg(rt) };
+                let v = f.eval(self.reg(rs), b)?;
                 self.set_reg(rd, v);
                 Ok(if (v != 0) == branch_if {
                     target

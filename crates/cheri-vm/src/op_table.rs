@@ -179,12 +179,13 @@ fn rows(op: Op) -> Vec<Row> {
         Op::Or => vec![ok(r3(2, 8, 14)).reg(2, 0x8000_0000_0000_0007)],
         Op::Xor => vec![ok(r3(2, 8, 9)).reg(2, 0x7FFF_FFFF_FFFF_FFFF)],
         Op::Nor => vec![ok(r3(2, 8, 14)).reg(2, 0x7FFF_FFFF_FFFF_FFF8)],
-        Op::Slt => vec![ok(r3(2, 8, 9)).reg(2, 1)],
-        Op::Sltu => vec![ok(r3(2, 9, 8)).reg(2, 0)],
+        // Each compare has a row where signed and unsigned disagree.
+        Op::Slt => vec![ok(r3(2, 8, 9)).reg(2, 1), ok(r3(2, 9, 14)).reg(2, 1)],
+        Op::Sltu => vec![ok(r3(2, 9, 8)).reg(2, 0), ok(r3(2, 14, 9)).reg(2, 1)],
         // Shift amounts come from the low six bits: 64 shifts by 0.
         Op::Sllv => vec![ok(r3(2, 9, 12)).reg(2, MAX), ok(r3(2, 9, 11)).reg(2, MIN)],
-        Op::Srlv => vec![ok(r3(2, 9, 11)).reg(2, 1)],
-        Op::Srav => vec![ok(r3(2, 8, 11)).reg(2, MAX)],
+        Op::Srlv => vec![ok(r3(2, 9, 11)).reg(2, 1), ok(r3(2, 9, 12)).reg(2, MAX)],
+        Op::Srav => vec![ok(r3(2, 8, 11)).reg(2, MAX), ok(r3(2, 8, 12)).reg(2, MIN)],
         Op::Mul => vec![ok(r3(2, 8, 9)).reg(2, MIN)],
         Op::Div => vec![
             trap(r3(2, 8, 9), TrapCause::IntegerOverflow),
@@ -206,21 +207,39 @@ fn rows(op: Op) -> Vec<Row> {
         Op::Addiu => vec![ok(i2(2, 13, -1)).reg(2, 0x7FFF)],
         // Logical immediates zero-extend from 32 bits.
         Op::Andi => vec![ok(i2(2, 9, -1)).reg(2, 0xFFFF_FFFF)],
-        Op::Ori => vec![ok(i2(2, 8, 0xFFFF)).reg(2, 0x8000_0000_0000_FFFF)],
+        Op::Ori => vec![
+            ok(i2(2, 8, 0xFFFF)).reg(2, 0x8000_0000_0000_FFFF),
+            ok(i2(2, 8, -1)).reg(2, 0x8000_0000_FFFF_FFFF),
+        ],
         Op::Xori => vec![ok(i2(2, 9, -1)).reg(2, 0xFFFF_FFFF_0000_0000)],
-        Op::Slti => vec![ok(i2(2, 8, -1)).reg(2, 1)],
-        Op::Sltiu => vec![ok(i2(2, 9, -1)).reg(2, 0)],
+        Op::Slti => vec![ok(i2(2, 8, -1)).reg(2, 1), ok(i2(2, 9, 0)).reg(2, 1)],
+        // `sltiu` sign-extends its immediate, then compares unsigned: -1
+        // is `u64::MAX`, not `0xFFFF_FFFF`.
+        Op::Sltiu => vec![
+            ok(i2(2, 9, -1)).reg(2, 0),
+            ok(i2(2, 8, -1)).reg(2, 1),
+            ok(i2(2, 9, 1)).reg(2, 0),
+        ],
         Op::Lui => vec![ok(new(2, 0, 0, -1)).reg(2, 0xFFFF_FFFF_FFFF_0000)],
         Op::Li => vec![ok(Instr::li(2, i32::MIN)).reg(2, 0xFFFF_FFFF_8000_0000)],
         Op::Sll => vec![ok(i2(2, 14, 63)).reg(2, MIN)],
         Op::Srl => vec![ok(i2(2, 8, 63)).reg(2, 1)],
-        Op::Sra => vec![ok(i2(2, 8, 64)).reg(2, MIN)],
+        Op::Sra => vec![ok(i2(2, 8, 64)).reg(2, MIN), ok(i2(2, 8, 63)).reg(2, MAX)],
         Op::Beq => vec![ok(new(0, 8, 8, 12)).to(12)],
         Op::Bne => vec![ok(new(0, 9, 9, 12))],
-        Op::Blez => vec![ok(new(0, 0, 0, 12)).to(12)],
-        Op::Bgtz => vec![ok(new(0, 8, 0, 12))],
-        Op::Bltz => vec![ok(new(0, 8, 0, 12)).to(12)],
-        Op::Bgez => vec![ok(new(0, 9, 0, 12))],
+        // The one-operand branches ignore their `rt` field (r9 = -1).
+        Op::Blez => vec![
+            ok(new(0, 0, 0, 12)).to(12),
+            ok(new(0, 0, 9, 12)).to(12),
+            ok(new(0, 14, 9, 12)),
+        ],
+        Op::Bgtz => vec![ok(new(0, 8, 0, 12)), ok(new(0, 14, 9, 12)).to(12)],
+        Op::Bltz => vec![
+            ok(new(0, 8, 0, 12)).to(12),
+            ok(new(0, 9, 9, 12)).to(12),
+            ok(new(0, 14, 9, 12)),
+        ],
+        Op::Bgez => vec![ok(new(0, 9, 0, 12)), ok(new(0, 14, 9, 12)).to(12)],
         Op::J => vec![ok(new(0, 0, 0, 12)).to(12)],
         Op::Jal => vec![ok(new(0, 0, 0, 12)).to(12).reg(cheri_isa::RA, P + 1)],
         Op::Jr => vec![ok(new(0, 14, 0, 0)).to(7)],

@@ -6,20 +6,22 @@
 //! traffic):
 //!
 //! 1. **Constant folding into immediates.** Registers whose value is
-//!    block-known (seeded by `li`/`lui` and `r0`) propagate through pure
-//!    integer ALU ops, which collapse to [`FlatOp::Li`]. A *trapping* op
-//!    (`add`/`sub`/`addi`/`div`/…) folds only when the constant operands
-//!    show it cannot trap; if it *would* trap it is left in place so the
-//!    trap fires at exactly the source pc with exactly the pre-op
-//!    registers.
+//!    block-known (seeded by `li`/`lui` and `r0`) propagate through the
+//!    integer ALU ops ([`FlatOp::Alu`], [`FlatOp::AluImm`]), which
+//!    collapse to [`FlatOp::Li`]. The fold calls the machine's own
+//!    [`Alu::eval`], so it computes exactly what execution would. An op
+//!    whose `eval` returns a trap (`add`/`sub`/`addi` overflow,
+//!    `div`/`rem` by zero, …) is left in place so the trap fires at
+//!    exactly the source pc with exactly the pre-op registers.
 //! 2. **Redundant-write elision.** A pure, non-trapping integer write
 //!    whose destination is overwritten later in the block — before any
 //!    read and with no potentially-trapping op in between (registers at a
 //!    trap are observable) — is replaced by [`FlatOp::Nop`] *in its
 //!    slot*, so pc accounting and mid-block unwind stay positional.
 //! 3. **Fused compare-and-branch.** The dominant loop idiom
-//!    `slt/sltu/slti/sltiu rd, …` + terminal `beq/bne rd, r0, target`
-//!    fuses into one [`FlatOp::FusedCmpBranch`] micro-op that still
+//!    `slt/sltu/slti/sltiu rd, …` ([`Alu::Slt`]/[`Alu::Sltu`]) + terminal
+//!    `beq/bne rd, r0, target` ([`Cond::Eq`]/[`Cond::Ne`]) fuses into
+//!    one [`FlatOp::FusedCmpBranch`] micro-op that still
 //!    writes `rd` and then branches — one dispatch instead of two per
 //!    loop iteration. Neither component can trap, so this is the only
 //!    rewrite allowed to shorten the op array (the instruction count
@@ -32,6 +34,7 @@
 //! [`crate::OptLevel`] so the unoptimized path stays available for
 //! differential testing.
 
+use crate::alu::{Alu, Cond};
 use crate::ir::{Block, FlatOp};
 
 /// Applies the peephole rewrites to `block` in place.
@@ -99,108 +102,26 @@ fn fold_constants(ops: &mut [FlatOp]) {
     }
 }
 
-/// Attempts to evaluate `op` over `consts`. `None` means the op is not a
-/// pure integer ALU op or an operand is unknown.
+/// Attempts to evaluate `op` over `consts` with the machine's own
+/// [`Alu::eval`]. `None` means the op is not an integer ALU op or an
+/// operand is unknown; an `Err` from `eval` means the op would trap.
 fn try_fold(op: &FlatOp, consts: &[Option<u64>; 32]) -> Option<Folded> {
     let c = |r: u8| consts[r as usize];
-    let v = |x: u64| Some(Folded::Value(x));
-    match *op {
-        // Non-trapping two-register ALU.
-        FlatOp::Addu { rs, rt, .. } => v(c(rs)?.wrapping_add(c(rt)?)),
-        FlatOp::Subu { rs, rt, .. } => v(c(rs)?.wrapping_sub(c(rt)?)),
-        FlatOp::And { rs, rt, .. } => v(c(rs)? & c(rt)?),
-        FlatOp::Or { rs, rt, .. } => v(c(rs)? | c(rt)?),
-        FlatOp::Xor { rs, rt, .. } => v(c(rs)? ^ c(rt)?),
-        FlatOp::Nor { rs, rt, .. } => v(!(c(rs)? | c(rt)?)),
-        FlatOp::Slt { rs, rt, .. } => v(u64::from((c(rs)? as i64) < (c(rt)? as i64))),
-        FlatOp::Sltu { rs, rt, .. } => v(u64::from(c(rs)? < c(rt)?)),
-        FlatOp::Sllv { rs, rt, .. } => v(c(rs)? << (c(rt)? & 63)),
-        FlatOp::Srlv { rs, rt, .. } => v(c(rs)? >> (c(rt)? & 63)),
-        FlatOp::Srav { rs, rt, .. } => v(((c(rs)? as i64) >> (c(rt)? & 63)) as u64),
-        FlatOp::Mul { rs, rt, .. } => v(c(rs)?.wrapping_mul(c(rt)?)),
-        // Non-trapping immediate ALU.
-        FlatOp::Addiu { rs, imm, .. } => v(c(rs)?.wrapping_add(imm)),
-        FlatOp::Andi { rs, imm, .. } => v(c(rs)? & imm),
-        FlatOp::Ori { rs, imm, .. } => v(c(rs)? | imm),
-        FlatOp::Xori { rs, imm, .. } => v(c(rs)? ^ imm),
-        FlatOp::Slti { rs, imm, .. } => v(u64::from((c(rs)? as i64) < imm)),
-        FlatOp::Sltiu { rs, imm, .. } => v(u64::from(c(rs)? < imm)),
-        FlatOp::Sll { rs, sh, .. } => v(c(rs)? << sh),
-        FlatOp::Srl { rs, sh, .. } => v(c(rs)? >> sh),
-        FlatOp::Sra { rs, sh, .. } => v(((c(rs)? as i64) >> sh) as u64),
-        // Trapping signed arithmetic folds only when it provably cannot
-        // trap on these operands.
-        FlatOp::Add { rs, rt, .. } => match (c(rs)? as i64).checked_add(c(rt)? as i64) {
-            Some(x) => v(x as u64),
-            None => Some(Folded::WouldTrap),
-        },
-        FlatOp::Sub { rs, rt, .. } => match (c(rs)? as i64).checked_sub(c(rt)? as i64) {
-            Some(x) => v(x as u64),
-            None => Some(Folded::WouldTrap),
-        },
-        FlatOp::Addi { rs, imm, .. } => match (c(rs)? as i64).checked_add(imm) {
-            Some(x) => v(x as u64),
-            None => Some(Folded::WouldTrap),
-        },
-        FlatOp::Div { rs, rt, .. } => {
-            let (a, b) = (c(rs)? as i64, c(rt)? as i64);
-            match (b != 0).then(|| a.checked_div(b)).flatten() {
-                Some(x) => v(x as u64),
-                None => Some(Folded::WouldTrap),
-            }
-        }
-        FlatOp::Divu { rs, rt, .. } => match c(rs)?.checked_div(c(rt)?) {
-            Some(x) => v(x),
-            None => Some(Folded::WouldTrap),
-        },
-        FlatOp::Rem { rs, rt, .. } => {
-            let (a, b) = (c(rs)? as i64, c(rt)? as i64);
-            match (b != 0).then(|| a.checked_rem(b)).flatten() {
-                Some(x) => v(x as u64),
-                None => Some(Folded::WouldTrap),
-            }
-        }
-        FlatOp::Remu { rs, rt, .. } => match c(rs)?.checked_rem(c(rt)?) {
-            Some(x) => v(x),
-            None => Some(Folded::WouldTrap),
-        },
-        _ => None,
-    }
+    let r = match *op {
+        FlatOp::Alu { f, rs, rt, .. } => f.eval(c(rs)?, c(rt)?),
+        FlatOp::AluImm { f, rs, imm, .. } => f.eval(c(rs)?, imm),
+        _ => return None,
+    };
+    Some(r.map_or(Folded::WouldTrap, Folded::Value))
 }
 
 /// The integer register `op` writes, if any. `Some(0)` is reported as-is;
 /// callers treat a write to `r0` as no write.
 fn int_write(op: &FlatOp) -> Option<u8> {
     match *op {
-        FlatOp::Add { rd, .. }
-        | FlatOp::Sub { rd, .. }
-        | FlatOp::Addi { rd, .. }
-        | FlatOp::Addu { rd, .. }
-        | FlatOp::Subu { rd, .. }
-        | FlatOp::And { rd, .. }
-        | FlatOp::Or { rd, .. }
-        | FlatOp::Xor { rd, .. }
-        | FlatOp::Nor { rd, .. }
-        | FlatOp::Slt { rd, .. }
-        | FlatOp::Sltu { rd, .. }
-        | FlatOp::Sllv { rd, .. }
-        | FlatOp::Srlv { rd, .. }
-        | FlatOp::Srav { rd, .. }
-        | FlatOp::Mul { rd, .. }
-        | FlatOp::Div { rd, .. }
-        | FlatOp::Divu { rd, .. }
-        | FlatOp::Rem { rd, .. }
-        | FlatOp::Remu { rd, .. }
-        | FlatOp::Addiu { rd, .. }
-        | FlatOp::Andi { rd, .. }
-        | FlatOp::Ori { rd, .. }
-        | FlatOp::Xori { rd, .. }
-        | FlatOp::Slti { rd, .. }
-        | FlatOp::Sltiu { rd, .. }
+        FlatOp::Alu { rd, .. }
+        | FlatOp::AluImm { rd, .. }
         | FlatOp::Li { rd, .. }
-        | FlatOp::Sll { rd, .. }
-        | FlatOp::Srl { rd, .. }
-        | FlatOp::Sra { rd, .. }
         | FlatOp::Jalr { rd, .. }
         | FlatOp::Load { rd, .. }
         | FlatOp::CGetBase { rd, .. }
@@ -223,42 +144,9 @@ fn int_reads(op: &FlatOp) -> Option<[Option<u8>; 2]> {
     let one = |a| Some([Some(a), None]);
     let zero = Some([None, None]);
     match *op {
-        FlatOp::Add { rs, rt, .. }
-        | FlatOp::Sub { rs, rt, .. }
-        | FlatOp::Addu { rs, rt, .. }
-        | FlatOp::Subu { rs, rt, .. }
-        | FlatOp::And { rs, rt, .. }
-        | FlatOp::Or { rs, rt, .. }
-        | FlatOp::Xor { rs, rt, .. }
-        | FlatOp::Nor { rs, rt, .. }
-        | FlatOp::Slt { rs, rt, .. }
-        | FlatOp::Sltu { rs, rt, .. }
-        | FlatOp::Sllv { rs, rt, .. }
-        | FlatOp::Srlv { rs, rt, .. }
-        | FlatOp::Srav { rs, rt, .. }
-        | FlatOp::Mul { rs, rt, .. }
-        | FlatOp::Div { rs, rt, .. }
-        | FlatOp::Divu { rs, rt, .. }
-        | FlatOp::Rem { rs, rt, .. }
-        | FlatOp::Remu { rs, rt, .. }
-        | FlatOp::Beq { rs, rt, .. }
-        | FlatOp::Bne { rs, rt, .. } => two(rs, rt),
-        FlatOp::Addi { rs, .. }
-        | FlatOp::Addiu { rs, .. }
-        | FlatOp::Andi { rs, .. }
-        | FlatOp::Ori { rs, .. }
-        | FlatOp::Xori { rs, .. }
-        | FlatOp::Slti { rs, .. }
-        | FlatOp::Sltiu { rs, .. }
-        | FlatOp::Sll { rs, .. }
-        | FlatOp::Srl { rs, .. }
-        | FlatOp::Sra { rs, .. }
-        | FlatOp::Blez { rs, .. }
-        | FlatOp::Bgtz { rs, .. }
-        | FlatOp::Bltz { rs, .. }
-        | FlatOp::Bgez { rs, .. }
-        | FlatOp::Jr { rs }
-        | FlatOp::Jalr { rs, .. } => one(rs),
+        // A one-operand branch names `r0` as `rt`, which no write kills.
+        FlatOp::Alu { rs, rt, .. } | FlatOp::Branch { rs, rt, .. } => two(rs, rt),
+        FlatOp::AluImm { rs, .. } | FlatOp::Jr { rs } | FlatOp::Jalr { rs, .. } => one(rs),
         FlatOp::Nop | FlatOp::Li { .. } | FlatOp::J { .. } | FlatOp::Jal { .. } => zero,
         FlatOp::FusedCmpBranch {
             rs, rt, imm_form, ..
@@ -325,25 +213,19 @@ fn is_opaque(op: &FlatOp) -> bool {
 
 /// `true` when `op` can raise a trap at runtime.
 fn can_trap(op: &FlatOp) -> bool {
-    matches!(
-        op,
-        FlatOp::Add { .. }
-            | FlatOp::Sub { .. }
-            | FlatOp::Addi { .. }
-            | FlatOp::Div { .. }
-            | FlatOp::Divu { .. }
-            | FlatOp::Rem { .. }
-            | FlatOp::Remu { .. }
-            | FlatOp::Load { .. }
-            | FlatOp::Store { .. }
-            | FlatOp::Clc { .. }
-            | FlatOp::Csc { .. }
-            | FlatOp::CIncOffset { .. }
-            | FlatOp::CIncOffsetImm { .. }
-            | FlatOp::CSetOffset { .. }
-            | FlatOp::CSetBounds { .. }
-            | FlatOp::CAndPerm { .. }
-    ) || is_opaque(op)
+    match *op {
+        FlatOp::Alu { f, .. } | FlatOp::AluImm { f, .. } => f.can_trap(),
+        FlatOp::Load { .. }
+        | FlatOp::Store { .. }
+        | FlatOp::Clc { .. }
+        | FlatOp::Csc { .. }
+        | FlatOp::CIncOffset { .. }
+        | FlatOp::CIncOffsetImm { .. }
+        | FlatOp::CSetOffset { .. }
+        | FlatOp::CSetBounds { .. }
+        | FlatOp::CAndPerm { .. } => true,
+        _ => is_opaque(op),
+    }
 }
 
 /// `true` when `op`'s only architectural effect is writing one integer
@@ -404,21 +286,32 @@ fn fuse_cmp_branch(ops: &mut Vec<FlatOp>) {
     if n < 2 {
         return;
     }
-    let (rd, rs, rt, imm, signed, imm_form) = match ops[n - 2] {
-        FlatOp::Slt { rd, rs, rt } => (rd, rs, rt, 0, true, false),
-        FlatOp::Sltu { rd, rs, rt } => (rd, rs, rt, 0, false, false),
-        FlatOp::Slti { rd, rs, imm } => (rd, rs, 0, imm, true, true),
-        FlatOp::Sltiu { rd, rs, imm } => (rd, rs, 0, imm as i64, false, true),
+    let (f, rd, rs, rt, imm, imm_form) = match ops[n - 2] {
+        FlatOp::Alu { f, rd, rs, rt } => (f, rd, rs, rt, 0, false),
+        FlatOp::AluImm { f, rd, rs, imm } => (f, rd, rs, 0, imm, true),
         _ => return,
     };
+    if !matches!(f, Alu::Slt | Alu::Sltu) {
+        return;
+    }
     // `rd == 0` would discard the compare and branch on the constant
     // `r0`; leave that (degenerate, compiler-never-emitted) shape alone.
     if rd == 0 {
         return;
     }
     let (brs, brt, target, branch_if) = match ops[n - 1] {
-        FlatOp::Beq { rs, rt, target } => (rs, rt, target, false),
-        FlatOp::Bne { rs, rt, target } => (rs, rt, target, true),
+        FlatOp::Branch {
+            c: Cond::Eq,
+            rs,
+            rt,
+            target,
+        } => (rs, rt, target, false),
+        FlatOp::Branch {
+            c: Cond::Ne,
+            rs,
+            rt,
+            target,
+        } => (rs, rt, target, true),
         _ => return,
     };
     // The branch must test exactly the compare's result against `r0`.
@@ -426,11 +319,11 @@ fn fuse_cmp_branch(ops: &mut Vec<FlatOp>) {
         return;
     }
     ops[n - 2] = FlatOp::FusedCmpBranch {
+        f,
         rd,
         rs,
         rt,
         imm,
-        signed,
         imm_form,
         branch_if,
         target,
@@ -519,7 +412,11 @@ mod tests {
         let ops = optimized(&code);
         // Slot 1 folds (sll over a known constant), slot 2 must not.
         assert!(matches!(ops[1], FlatOp::Li { rd: 8, .. }));
-        assert!(matches!(ops[2], FlatOp::Add { .. }), "got {:?}", ops[2]);
+        assert!(
+            matches!(ops[2], FlatOp::Alu { f: Alu::Add, .. }),
+            "got {:?}",
+            ops[2]
+        );
         // And the trap lands at the same pc with the same cause either way.
         let mut p = Program::new();
         p.code = code.clone();
@@ -553,7 +450,7 @@ mod tests {
             Instr::syscall(0),
         ];
         let ops = optimized(&code);
-        assert!(matches!(ops[2], FlatOp::Div { .. }));
+        assert!(matches!(ops[2], FlatOp::Alu { f: Alu::Div, .. }));
         assert_opt_preserves(code);
     }
 
@@ -617,17 +514,17 @@ mod tests {
         assert_eq!(ops.len(), 3, "the branch slot folds into the compare");
         match ops[2] {
             FlatOp::FusedCmpBranch {
+                f,
                 rd,
                 rs,
                 rt,
-                signed,
                 imm_form,
                 branch_if,
                 target,
                 ..
             } => {
                 assert_eq!((rd, rs, rt), (11, 10, 9));
-                assert!(signed && !imm_form);
+                assert!(f == Alu::Slt && !imm_form);
                 assert!(!branch_if, "beq branches when the compare is 0");
                 assert_eq!(target, 0);
             }
@@ -664,8 +561,8 @@ mod tests {
         assert!(matches!(
             ops[0],
             FlatOp::FusedCmpBranch {
+                f: Alu::Sltu,
                 imm_form: true,
-                signed: false,
                 branch_if: true,
                 imm: 100,
                 ..
@@ -682,7 +579,7 @@ mod tests {
         ];
         let ops = optimized(&code);
         assert_eq!(ops.len(), 2);
-        assert!(matches!(ops[0], FlatOp::Slt { .. }));
+        assert!(matches!(ops[0], FlatOp::Alu { f: Alu::Slt, .. }));
     }
 
     #[test]
