@@ -15,8 +15,8 @@
 //!   [`crate::RtError`] reporting is unchanged.
 //!
 //! Every *pointer decision* — creation, arithmetic, dereference, integer
-//! round trips, spills — remains a call into the active
-//! [`crate::MemoryModel`], exactly as in the original AST walker.
+//! round trips, spills — remains a call into the active model's
+//! [`crate::Rules`], exactly as in the original AST walker.
 
 use crate::layout::TargetInfo;
 use cheri_c::{BinOp, Type, UnOp};
@@ -56,7 +56,7 @@ pub struct OpInfo {
 #[derive(Clone, Debug)]
 pub struct IrProgram {
     /// The layout the program was lowered for. Models whose
-    /// [`crate::MemoryModel::target`] differs need a separate lowering.
+    /// [`crate::Rules::target`] differs need a separate lowering.
     pub target: TargetInfo,
     /// The flat op stream; all functions, back to back.
     pub code: Vec<Op>,
@@ -162,15 +162,11 @@ pub struct IrGlobal {
     pub size: u64,
 }
 
-/// Pre-computed per-operand facts for a lowered binary operation: the
-/// decayed static types (for integer→pointer reconstruction) and, when an
-/// operand is a pointer, its element size for arithmetic scaling.
+/// Pre-computed per-operand facts for a lowered binary operation: which
+/// operands are statically pointers and, for those, the element size for
+/// arithmetic scaling.
 #[derive(Clone, Copy, Debug)]
 pub struct BinMeta {
-    /// Decayed type of the left operand.
-    pub ta: TyId,
-    /// Decayed type of the right operand.
-    pub tb: TyId,
     /// `true` when the left operand is statically a pointer.
     pub a_ptr: bool,
     /// `true` when the right operand is statically a pointer.
@@ -280,7 +276,7 @@ pub enum Op {
         /// Object size.
         size: u64,
         /// The *pointer* type (pointer-to-variable), for permission
-        /// derivation in [`crate::MemoryModel::make_ptr`].
+        /// derivation when the model makes the pointer (CHERI).
         ty: TyId,
     },
     /// Push `&global`.

@@ -12,20 +12,22 @@
 //! its hot loop; all seven models share the lowering for their layout (see
 //! [`LoweredUnit`] and [`run_main_all`], which also fans the independent
 //! model runs out across threads). Every pointer decision still goes
-//! through the active [`MemoryModel`].
+//! through the active model's [`Rules`].
 //!
 //! Seven interpretations of the C abstract machine are provided, matching
-//! Table 3:
+//! Table 3. They differ only in the row [`ModelKind::rules`] gives each:
+//! the interpreter executes that row, and the static lint (`cheri-lint`)
+//! reads the same row over its abstract facts.
 //!
-//! | model | pointer representation | failure mode |
-//! |---|---|---|
-//! | [`ModelKind::Pdp11`] | plain 64-bit integer | none (memory unsafe) |
-//! | [`ModelKind::HardBound`] | fat pointer + shadow table | fails **closed** |
-//! | [`ModelKind::Mpx`] | fat pointer + look-aside table | fails **open** |
-//! | [`ModelKind::Relaxed`] | integer + live-object map | object lookup |
-//! | [`ModelKind::Strict`] | fat pointer, exact provenance | fails closed |
-//! | [`ModelKind::CheriV2`] | capability (no offset) | traps |
-//! | [`ModelKind::CheriV3`] | fat capability (offset) | traps at deref |
+//! | model | [`Repr`] | other rules | failure mode |
+//! |---|---|---|---|
+//! | [`ModelKind::Pdp11`] | `Addr`: plain 64-bit integer | — | none (memory unsafe) |
+//! | [`ModelKind::HardBound`] | `Fat` + shadow table | — | fails **closed** |
+//! | [`ModelKind::Mpx`] | `Fat` + look-aside table | `fail_open`, `narrows_fields` | fails **open** |
+//! | [`ModelKind::Relaxed`] | `Addr` | `live_check` | object lookup |
+//! | [`ModelKind::Strict`] | `Fat`, exact provenance | — | fails closed |
+//! | [`ModelKind::CheriV2`] | `Cap` (no offset) | `const_enforced` | traps |
+//! | [`ModelKind::CheriV3`] | `Cap` | `offset` | traps at deref |
 //!
 //! # Example
 //!
@@ -58,6 +60,6 @@ pub use ir::{
 pub use layout::{align_of, field_offset, size_of, TargetInfo};
 pub use lower::lower;
 pub use machine::{run_main, run_main_all, ExecResult, Interp, LoweredUnit, RtError};
-pub use model::{MemoryModel, ModelCtx, ModelError, ModelKind, ShadowEntry};
+pub use model::{ModelError, ModelKind, Repr, Rules};
 pub use par::{fan_out_ordered, fan_out_workers};
 pub use value::{IntValue, Prov, PtrVal, Value};

@@ -249,7 +249,7 @@ impl<'u> Lowerer<'u> {
         });
     }
 
-    fn bin_meta(&mut self, ta: &Type, tb: &Type) -> BinMeta {
+    fn bin_meta(&self, ta: &Type, tb: &Type) -> BinMeta {
         let ta = ta.decay();
         let tb = tb.decay();
         let elem = |lw: &Self, t: &Type| match t.pointee() {
@@ -260,8 +260,6 @@ impl<'u> Lowerer<'u> {
         let (a_ptr, a_elem) = elem(self, &ta);
         let (b_ptr, b_elem) = elem(self, &tb);
         BinMeta {
-            ta: self.tyid(&ta),
-            tb: self.tyid(&tb),
             a_ptr,
             b_ptr,
             a_elem,

@@ -1,7 +1,7 @@
 //! The abstract-machine interpreter core.
 //!
 //! Owns memory, frames and control flow; delegates every pointer decision
-//! to the active [`MemoryModel`]. Objects live in a *virtual* address space
+//! to the active model's [`Rules`]. Objects live in a *virtual* address space
 //! based above 4 GiB so that truncating a pointer to 32 bits (the **Wide**
 //! idiom) is genuinely lossy, as on any modern 64-bit system.
 //!
@@ -13,7 +13,7 @@
 
 use crate::ir::{BinMeta, Builtin, IrProgram, Op, ELEM_POISON};
 use crate::lower::lower;
-use crate::model::{MemoryModel, ModelCtx, ModelError, ModelKind, ShadowEntry};
+use crate::model::{ModelError, ModelKind, Rules, ShadowEntry};
 use crate::value::{IntValue, PtrVal, Value};
 use cheri_c::{BinOp, TranslationUnit, Type, UnOp};
 use cheri_cap::Capability;
@@ -123,7 +123,7 @@ pub struct ExecResult {
 /// Any [`RtError`], most interestingly [`RtError::Model`] when the chosen
 /// interpretation of the C abstract machine rejects an idiom.
 pub fn run_main(unit: &TranslationUnit, kind: ModelKind) -> Result<ExecResult, RtError> {
-    Interp::new(unit, kind.build()).run("main")
+    Interp::new(unit, kind).run("main")
 }
 
 /// Runs `main` under **all seven** models, sharing one lowering per target
@@ -172,9 +172,7 @@ impl LoweredUnit {
     ///
     /// Any [`RtError`].
     pub fn run(&self, kind: ModelKind) -> Result<ExecResult, RtError> {
-        let model = kind.build();
-        let ir = self.for_target(&model.target());
-        Interp::with_ir(ir, model).run("main")
+        Interp::with_ir(self.for_target(&kind.rules().target()), kind).run("main")
     }
 
     /// Runs `main` under every model, one scoped thread per model (inline
@@ -217,9 +215,10 @@ pub struct Interp<'p> {
 }
 
 impl Interp<'static> {
-    /// Builds an interpreter over `unit` with the given model, lowering the
+    /// Builds an interpreter over `unit` under model `kind`, lowering the
     /// unit for the model's target layout.
-    pub fn new(unit: &TranslationUnit, model: Box<dyn MemoryModel>) -> Interp<'static> {
+    pub fn new(unit: &TranslationUnit, kind: ModelKind) -> Interp<'static> {
+        let model = kind.rules();
         let ir = lower(unit, model.target());
         Interp {
             ir: IrRef::Owned(Box::new(ir)),
@@ -236,7 +235,8 @@ impl<'p> Interp<'p> {
     ///
     /// Panics if `ir` was lowered for a different target layout than the
     /// model's.
-    pub fn with_ir(ir: &'p IrProgram, model: Box<dyn MemoryModel>) -> Interp<'p> {
+    pub fn with_ir(ir: &'p IrProgram, kind: ModelKind) -> Interp<'p> {
+        let model = kind.rules();
         assert_eq!(
             ir.target,
             model.target(),
@@ -274,7 +274,7 @@ struct Frame {
 }
 
 struct State {
-    model: Box<dyn MemoryModel>,
+    model: Rules,
     mem: TaggedMemory,
     heap: Allocator,
     objects: BTreeMap<u64, u64>,
@@ -290,7 +290,7 @@ struct State {
 }
 
 impl State {
-    fn new(model: Box<dyn MemoryModel>) -> State {
+    fn new(model: Rules) -> State {
         State {
             model,
             mem: TaggedMemory::new(PHYS_SIZE),
@@ -361,12 +361,6 @@ impl State {
             .map_err(|_| RtError::Unmapped { line, addr: vaddr })
     }
 
-    fn ctx(&self) -> ModelCtx<'_> {
-        ModelCtx {
-            objects: &self.objects,
-        }
-    }
-
     fn model_err(&self, line: u32, err: ModelError) -> RtError {
         RtError::Model { line, err }
     }
@@ -425,12 +419,9 @@ impl State {
                     Ok(Value::Ptr(PtrVal::Cap(c)))
                 } else {
                     let bits = self.read_raw(vaddr, 8, line)?;
-                    let shadow = self.shadow.get(&vaddr).copied();
-                    Ok(Value::Ptr(self.model.load_ptr_bits(
-                        &self.ctx(),
-                        bits,
-                        shadow.as_ref(),
-                    )))
+                    Ok(Value::Ptr(
+                        self.model.load_ptr_bits(bits, self.shadow.get(&vaddr)),
+                    ))
                 }
             }
             Type::Array { .. } | Type::Struct(_) | Type::Void => Err(RtError::Unsupported {
@@ -499,10 +490,7 @@ impl State {
             Type::Ptr { .. } => {
                 let pv = match val {
                     Value::Ptr(p) => self.model.adjust_for_type(p, ty),
-                    Value::Int(i) => self
-                        .model
-                        .int_to_ptr(&self.ctx(), &i, ty)
-                        .map_err(|e| self.model_err(line, e))?,
+                    Value::Int(i) => self.model.int_to_ptr(&i),
                 };
                 if self.model.stores_caps() {
                     let c = match pv {
@@ -730,7 +718,7 @@ impl State {
                     let p = self.pop_ptr();
                     let a = self
                         .model
-                        .deref(&self.ctx(), &p, size, false)
+                        .deref(&self.objects, &p, size, false)
                         .map_err(|e| self.model_err(*line, e))?;
                     let ty = &prog.types[*ty as usize];
                     let v = self.load_typed(a, ty, *line)?;
@@ -742,7 +730,7 @@ impl State {
                     let p = self.pop_ptr();
                     let a = self
                         .model
-                        .deref(&self.ctx(), &p, size, true)
+                        .deref(&self.objects, &p, size, true)
                         .map_err(|e| self.model_err(*line, e))?;
                     let ty = &prog.types[*ty as usize];
                     self.store_typed(a, ty, v, *line)?;
@@ -774,16 +762,9 @@ impl State {
                         .map_err(|e| self.model_err(*line, e))?;
                     self.vstack.push(Value::Ptr(q));
                 }
-                Op::ToPtr { ty, line } => match self.pop() {
+                Op::ToPtr { .. } => match self.pop() {
                     Value::Ptr(p) => self.vstack.push(Value::Ptr(p)),
-                    Value::Int(i) => {
-                        let ty = &prog.types[*ty as usize];
-                        let p = self
-                            .model
-                            .int_to_ptr(&self.ctx(), &i, ty)
-                            .map_err(|e| self.model_err(*line, e))?;
-                        self.vstack.push(Value::Ptr(p));
-                    }
+                    Value::Int(i) => self.vstack.push(Value::Ptr(self.model.int_to_ptr(&i))),
                 },
                 Op::AdjustPtr { ty } => {
                     if let Value::Ptr(p) = *self.vstack.last().expect("value") {
@@ -799,7 +780,7 @@ impl State {
                 Op::Binary { op, meta, line } => {
                     let vb = self.pop();
                     let va = self.pop();
-                    let v = self.apply_binop(prog, *op, va, vb, *meta, *line)?;
+                    let v = self.apply_binop(*op, va, vb, *meta, *line)?;
                     self.vstack.push(v);
                 }
                 Op::Cast { to, line } => {
@@ -918,15 +899,15 @@ impl State {
                     let ty = &prog.types[*ty as usize];
                     let a = self
                         .model
-                        .deref(&self.ctx(), &p, size, false)
+                        .deref(&self.objects, &p, size, false)
                         .map_err(|e| self.model_err(*line, e))?;
                     let old = self.load_typed(a, ty, *line)?;
                     let one = Value::Int(IntValue::new(if *inc { 1 } else { -1 }, 8, true));
-                    let new = self.apply_binop(prog, BinOp::Add, old, one, *meta, *line)?;
+                    let new = self.apply_binop(BinOp::Add, old, one, *meta, *line)?;
                     let stored = self.convert_for_store(new, ty);
                     let aw = self
                         .model
-                        .deref(&self.ctx(), &p, size, true)
+                        .deref(&self.objects, &p, size, true)
                         .map_err(|e| self.model_err(*line, e))?;
                     self.store_typed(aw, ty, stored, *line)?;
                     self.vstack.push(if *pre { stored } else { old });
@@ -956,7 +937,7 @@ impl State {
         let ty = &prog.types[ty as usize];
         let old = self.load_typed(addr, ty, line)?;
         let one = Value::Int(IntValue::new(if inc { 1 } else { -1 }, 8, true));
-        let new = self.apply_binop(prog, BinOp::Add, old, one, meta, line)?;
+        let new = self.apply_binop(BinOp::Add, old, one, meta, line)?;
         let stored = self.convert_for_store(new, ty);
         self.store_typed(addr, ty, stored, line)?;
         Ok(if pre { stored } else { old })
@@ -1070,7 +1051,6 @@ impl State {
     #[allow(clippy::too_many_lines)]
     fn apply_binop(
         &mut self,
-        prog: &IrProgram,
         op: BinOp,
         va: Value,
         vb: Value,
@@ -1079,7 +1059,7 @@ impl State {
     ) -> Result<Value, RtError> {
         // Pointer arithmetic / comparison (decided by the static types).
         if meta.a_ptr || meta.b_ptr {
-            return self.apply_ptr_binop(prog, op, va, vb, meta, line);
+            return self.apply_ptr_binop(op, va, vb, meta, line);
         }
         // intcap_t arithmetic: a capability-carried integer.
         if let Value::Ptr(p) = va {
@@ -1215,29 +1195,22 @@ impl State {
 
     fn apply_ptr_binop(
         &mut self,
-        prog: &IrProgram,
         op: BinOp,
         va: Value,
         vb: Value,
         meta: BinMeta,
         line: u32,
     ) -> Result<Value, RtError> {
-        let as_ptr = |s: &mut Self, v: Value, ty: u32| -> Result<PtrVal, RtError> {
-            match v {
-                Value::Ptr(p) => Ok(p),
-                Value::Int(i) => {
-                    let ty = &prog.types[ty as usize];
-                    s.model
-                        .int_to_ptr(&s.ctx(), &i, ty)
-                        .map_err(|err| s.model_err(line, err))
-                }
-            }
+        let model = self.model;
+        let as_ptr = |v: Value| match v {
+            Value::Ptr(p) => p,
+            Value::Int(i) => model.int_to_ptr(&i),
         };
         match op {
             BinOp::Add | BinOp::Sub => {
                 if meta.a_ptr && meta.b_ptr && op == BinOp::Sub {
-                    let pa = as_ptr(self, va, meta.ta)?;
-                    let pb = as_ptr(self, vb, meta.tb)?;
+                    let pa = as_ptr(va);
+                    let pb = as_ptr(vb);
                     let diff = self
                         .model
                         .ptr_diff(&pa, &pb)
@@ -1246,9 +1219,9 @@ impl State {
                     return Ok(Value::Int(IntValue::new(diff / es, 8, true)));
                 }
                 let (pv, elem, iv) = if meta.a_ptr {
-                    (as_ptr(self, va, meta.ta)?, meta.a_elem, vb.as_u64() as i64)
+                    (as_ptr(va), meta.a_elem, vb.as_u64() as i64)
                 } else {
-                    (as_ptr(self, vb, meta.tb)?, meta.b_elem, va.as_u64() as i64)
+                    (as_ptr(vb), meta.b_elem, va.as_u64() as i64)
                 };
                 let es = Self::checked_size(elem).max(1) as i64;
                 let delta = if op == BinOp::Sub { -iv } else { iv }.wrapping_mul(es);
@@ -1284,11 +1257,7 @@ impl State {
             Type::Void => Ok(Value::int(0)),
             Type::Int { width, signed } => match v {
                 Value::Int(i) => Ok(Value::Int(self.coerce_int(Value::Int(i), *width, *signed))),
-                Value::Ptr(p) => self
-                    .model
-                    .ptr_to_int(&p, *width, *signed)
-                    .map(Value::Int)
-                    .map_err(|err| self.model_err(line, err)),
+                Value::Ptr(p) => Ok(Value::Int(self.model.ptr_to_int(&p, *width, *signed))),
             },
             Type::IntPtr { signed } | Type::IntCap { signed } => {
                 if self.model.stores_caps() {
@@ -1298,24 +1267,16 @@ impl State {
                     }
                 } else {
                     match v {
-                        Value::Ptr(p) => self
-                            .model
-                            .ptr_to_int(&p, 8, *signed)
-                            .map(Value::Int)
-                            .map_err(|err| self.model_err(line, err)),
+                        Value::Ptr(p) => Ok(Value::Int(self.model.ptr_to_int(&p, 8, *signed))),
                         Value::Int(i) => Ok(Value::Int(self.coerce_int(Value::Int(i), 8, *signed))),
                     }
                 }
             }
             Type::Ptr { .. } => match v {
                 Value::Ptr(p) => Ok(Value::Ptr(self.model.adjust_for_type(p, to))),
-                Value::Int(i) => {
-                    let p = self
-                        .model
-                        .int_to_ptr(&self.ctx(), &i, to)
-                        .map_err(|err| self.model_err(line, err))?;
-                    Ok(Value::Ptr(self.model.adjust_for_type(p, to)))
-                }
+                Value::Int(i) => Ok(Value::Ptr(
+                    self.model.adjust_for_type(self.model.int_to_ptr(&i), to),
+                )),
             },
             Type::Array { .. } | Type::Struct(_) => Err(RtError::Unsupported {
                 line,
@@ -1360,11 +1321,11 @@ impl State {
                 if n > 0 {
                     let da = self
                         .model
-                        .deref(&self.ctx(), &d, n, true)
+                        .deref(&self.objects, &d, n, true)
                         .map_err(|err| self.model_err(line, err))?;
                     let sa = self
                         .model
-                        .deref(&self.ctx(), &s, n, false)
+                        .deref(&self.objects, &s, n, false)
                         .map_err(|err| self.model_err(line, err))?;
                     self.copy_bytes(da, sa, n, line)?;
                 }
@@ -1377,7 +1338,7 @@ impl State {
                 if n > 0 {
                     let da = self
                         .model
-                        .deref(&self.ctx(), &d, n, true)
+                        .deref(&self.objects, &d, n, true)
                         .map_err(|err| self.model_err(line, err))?;
                     let pd = self.phys(da, n, line)?;
                     self.mem_mut()
@@ -1401,7 +1362,7 @@ impl State {
                         .map_err(|e| self.model_err(line, e))?;
                     let a = self
                         .model
-                        .deref(&self.ctx(), &q, 1, false)
+                        .deref(&self.objects, &q, 1, false)
                         .map_err(|err| self.model_err(line, err))?;
                     if self.read_raw(a, 1, line)? == 0 {
                         break;
@@ -1427,11 +1388,11 @@ impl State {
                         .map_err(|e| self.model_err(line, e))?;
                     let aa = self
                         .model
-                        .deref(&self.ctx(), &qa, 1, false)
+                        .deref(&self.objects, &qa, 1, false)
                         .map_err(|err| self.model_err(line, err))?;
                     let ab = self
                         .model
-                        .deref(&self.ctx(), &qb, 1, false)
+                        .deref(&self.objects, &qb, 1, false)
                         .map_err(|err| self.model_err(line, err))?;
                     let (ca, cb) = (self.read_raw(aa, 1, line)?, self.read_raw(ab, 1, line)?);
                     if ca != cb {
@@ -1456,7 +1417,7 @@ impl State {
                         .map_err(|e| self.model_err(line, e))?;
                     let a = self
                         .model
-                        .deref(&self.ctx(), &q, 1, false)
+                        .deref(&self.objects, &q, 1, false)
                         .map_err(|err| self.model_err(line, err))?;
                     let c = self.read_raw(a, 1, line)?;
                     if c == 0 {
@@ -1744,7 +1705,7 @@ mod tests {
     #[test]
     fn step_limit_stops_infinite_loops() {
         let unit = cheri_c::parse("int main(void) { while (1) { } return 0; }").unwrap();
-        let r = Interp::new(&unit, ModelKind::Pdp11.build())
+        let r = Interp::new(&unit, ModelKind::Pdp11)
             .with_step_limit(10_000)
             .run("main");
         assert!(matches!(r, Err(RtError::StepLimit)));

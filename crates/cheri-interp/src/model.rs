@@ -1,9 +1,11 @@
-//! The pluggable memory-model interface.
+//! The memory-model rule table: the few independent choices that tell the
+//! seven interpretations of the C abstract machine apart.
+//!
+//! [`ModelKind::rules`] is the only place a model's behaviour is chosen.
+//! The interpreter executes the [`Rules`] (`models.rs`); the static lint
+//! reads the same table over its abstract facts.
 
 use crate::layout::TargetInfo;
-use crate::value::{IntValue, PtrVal};
-use cheri_c::Type;
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -58,15 +60,103 @@ impl ModelKind {
         }
     }
 
-    /// Builds the model implementation.
-    pub fn build(self) -> Box<dyn MemoryModel> {
-        crate::models::build(self)
+    /// The model's rules. HardBound and Strict share theirs: both are
+    /// fail-closed fat pointers, and Table 3 gives them the same row.
+    pub fn rules(self) -> Rules {
+        let repr = match self {
+            ModelKind::Pdp11 => Repr::Addr { live_check: false },
+            ModelKind::Relaxed => Repr::Addr { live_check: true },
+            ModelKind::HardBound | ModelKind::Strict => Repr::Fat {
+                fail_open: false,
+                narrows_fields: false,
+            },
+            ModelKind::Mpx => Repr::Fat {
+                fail_open: true,
+                narrows_fields: true,
+            },
+            ModelKind::CheriV2 => Repr::Cap { offset: false },
+            ModelKind::CheriV3 => Repr::Cap { offset: true },
+        };
+        Rules {
+            repr,
+            const_enforced: self == ModelKind::CheriV2,
+        }
     }
 }
 
 impl fmt::Display for ModelKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.display_name())
+    }
+}
+
+/// How a pointer carries its metadata, and what that metadata does.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Repr {
+    /// A bare 64-bit address ([`crate::PtrVal::Plain`]).
+    Addr {
+        /// A dereference must land inside a live object (*Relaxed*: "allows
+        /// pointers to be constructed from integer values as long as the
+        /// object is still valid", §5). Without it nothing is checked beyond
+        /// the machine's unmapped-page faults (PDP-11).
+        live_check: bool,
+    },
+    /// A fat pointer ([`crate::PtrVal::Fat`]) whose bounds spill to a
+    /// machine-managed table keyed by storage address when it is written
+    /// to memory (HardBound's shadow space, MPX's look-aside tables).
+    Fat {
+        /// Lost or desynchronized metadata leaves the pointer unchecked
+        /// (MPX) instead of unusable (HardBound, Strict).
+        fail_open: bool,
+        /// Member access narrows the bounds to the member, which is what
+        /// breaks `container_of` (MPX, §5.1).
+        narrows_fields: bool,
+    },
+    /// A CHERI capability ([`crate::PtrVal::Cap`]) in tagged memory.
+    Cap {
+        /// Arithmetic moves a free-roaming offset, checked only at
+        /// dereference (v3). Without it (v2), `p + n` consumes bounds
+        /// monotonically, and `p - n`, `p - q` and arithmetic on `intcap_t`
+        /// values are unrepresentable.
+        offset: bool,
+    },
+}
+
+/// One model's rules: every choice that distinguishes it from the others.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Rules {
+    /// The pointer representation.
+    pub repr: Repr,
+    /// Pointers to `const` lose store permission: the original CHERIv2
+    /// compiler's behaviour that "broke a large amount of code" (§4.1).
+    pub const_enforced: bool,
+}
+
+impl Rules {
+    /// Layout parameters (pointer size/alignment, `intptr_t` representation).
+    pub fn target(self) -> TargetInfo {
+        match self.repr {
+            Repr::Cap { .. } => TargetInfo::cheri(),
+            Repr::Addr { .. } | Repr::Fat { .. } => TargetInfo::lp64(),
+        }
+    }
+
+    /// `true` if pointers are capabilities stored via tagged memory.
+    pub(crate) fn stores_caps(self) -> bool {
+        matches!(self.repr, Repr::Cap { .. })
+    }
+
+    /// `true` if pointer metadata spills into the machine-managed shadow
+    /// table when a pointer is written to memory.
+    pub(crate) fn uses_shadow(self) -> bool {
+        matches!(self.repr, Repr::Fat { .. })
+    }
+
+    /// `true` unless arithmetic on `intcap_t` values is unrepresentable:
+    /// "the original CHERI implementation permitted only storing and
+    /// loading of these values" (§5.1).
+    pub(crate) fn intcap_arith_allowed(self) -> bool {
+        self.repr != Repr::Cap { offset: false }
     }
 }
 
@@ -103,7 +193,7 @@ impl Error for ModelError {}
 /// these by storage address, modelling HardBound's shadow space and MPX's
 /// bound tables.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShadowEntry {
+pub(crate) struct ShadowEntry {
     /// The pointer bits that were stored.
     pub bits: u64,
     /// Object base at store time.
@@ -112,156 +202,41 @@ pub struct ShadowEntry {
     pub len: u64,
 }
 
-/// Read-only machine state a model may consult.
-pub struct ModelCtx<'a> {
-    /// Live objects: base → length. Includes globals, string literals,
-    /// live heap blocks, and in-scope locals.
-    pub objects: &'a BTreeMap<u64, u64>,
-}
-
-impl ModelCtx<'_> {
-    /// The live object containing `addr`, if any.
-    pub fn object_containing(&self, addr: u64) -> Option<(u64, u64)> {
-        let (&base, &len) = self.objects.range(..=addr).next_back()?;
-        if addr < base + len {
-            Some((base, len))
-        } else {
-            None
-        }
-    }
-}
-
-/// A memory model: the set of pointer semantics under test.
-///
-/// The interpreter owns memory, scopes and control flow; every *pointer*
-/// operation — creation, arithmetic, dereference, conversion to and from
-/// integers, spilling to memory — is delegated here. Implementations are
-/// listed in [`ModelKind`].
-pub trait MemoryModel {
-    /// Which model this is.
-    fn kind(&self) -> ModelKind;
-
-    /// Layout parameters (pointer size/alignment, `intptr_t` representation).
-    fn target(&self) -> TargetInfo;
-
-    /// `true` if pointers are capabilities stored via tagged memory.
-    fn stores_caps(&self) -> bool {
-        false
-    }
-
-    /// `true` if pointer metadata spills into the machine-managed shadow
-    /// table ([`ShadowEntry`]) when a pointer is written to memory.
-    fn uses_shadow(&self) -> bool {
-        false
-    }
-
-    /// `true` if arithmetic on `intcap_t` values is representable
-    /// (CHERIv3 yes — via the offset; CHERIv2 no — store/load only, §5.1).
-    fn intcap_arith_allowed(&self) -> bool {
-        true
-    }
-
-    /// `true` if the model enforces `const` at runtime (original CHERIv2
-    /// compiler behaviour that "broke a large amount of code", §4.1).
-    fn enforces_const(&self) -> bool {
-        false
-    }
-
-    /// A fresh pointer to a new object `[base, base+len)` of type `ty`
-    /// (`ty` is the pointer type, for permission derivation).
-    fn make_ptr(&self, base: u64, len: u64, ty: &Type) -> PtrVal;
-
-    /// Re-qualifies a pointer when it is converted/assigned to type `ty`
-    /// (e.g. CHERI dropping store permission for `__input`).
-    fn adjust_for_type(&self, p: PtrVal, ty: &Type) -> PtrVal;
-
-    /// `p + delta` in bytes.
-    ///
-    /// # Errors
-    ///
-    /// Models that cannot represent the result (CHERIv2 subtraction or
-    /// out-of-bounds increment) refuse here.
-    fn ptr_add(&self, p: &PtrVal, delta: i64) -> Result<PtrVal, ModelError>;
-
-    /// `a - b` in bytes.
-    ///
-    /// # Errors
-    ///
-    /// CHERIv2 cannot subtract pointers at all.
-    fn ptr_diff(&self, a: &PtrVal, b: &PtrVal) -> Result<i64, ModelError>;
-
-    /// Derives a pointer to a field at `off` with size `size`. MPX narrows
-    /// the bounds to the field (which is what breaks **Container**); other
-    /// models treat this as plain arithmetic.
-    ///
-    /// # Errors
-    ///
-    /// As for [`MemoryModel::ptr_add`].
-    fn narrow_field(&self, p: &PtrVal, off: u64, size: u64) -> Result<PtrVal, ModelError> {
-        let _ = size;
-        self.ptr_add(p, off as i64)
-    }
-
-    /// Validates an access of `len` bytes through `p`, returning the
-    /// virtual address to read or write.
-    ///
-    /// # Errors
-    ///
-    /// The model's bounds/tag/permission discipline.
-    fn deref(
-        &self,
-        ctx: &ModelCtx<'_>,
-        p: &PtrVal,
-        len: u64,
-        write: bool,
-    ) -> Result<u64, ModelError>;
-
-    /// Converts a pointer to a plain integer of `width` bytes (the **Int**
-    /// and **Wide** idioms). Provenance travels on the result where the
-    /// scheme supports it.
-    ///
-    /// # Errors
-    ///
-    /// None today; reserved for models that forbid the conversion.
-    fn ptr_to_int(&self, p: &PtrVal, width: u8, signed: bool) -> Result<IntValue, ModelError>;
-
-    /// Reconstructs a pointer from an integer (the reverse direction).
-    ///
-    /// # Errors
-    ///
-    /// Fail-closed models refuse lost or modified provenance.
-    fn int_to_ptr(&self, ctx: &ModelCtx<'_>, v: &IntValue, ty: &Type)
-        -> Result<PtrVal, ModelError>;
-
-    /// Materializes a pointer loaded from memory, given the raw bits and
-    /// the shadow entry (if any) recorded at the storage address.
-    fn load_ptr_bits(&self, ctx: &ModelCtx<'_>, bits: u64, shadow: Option<&ShadowEntry>) -> PtrVal;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn all_kinds_build() {
-        for k in ModelKind::ALL {
-            let m = k.build();
-            assert_eq!(m.kind(), k);
-            assert!(!k.display_name().is_empty());
+    fn each_model_has_distinct_rules_but_strict_and_hardbound() {
+        for a in ModelKind::ALL {
+            assert!(!a.display_name().is_empty());
+            for b in ModelKind::ALL {
+                let same = a.rules() == b.rules();
+                let twins = matches!(
+                    (a, b),
+                    (ModelKind::HardBound, ModelKind::Strict)
+                        | (ModelKind::Strict, ModelKind::HardBound)
+                );
+                assert_eq!(same, a == b || twins, "{a} vs {b}");
+            }
         }
     }
 
     #[test]
-    fn ctx_object_lookup() {
-        let mut objects = BTreeMap::new();
-        objects.insert(0x100, 0x10u64);
-        objects.insert(0x200, 0x8u64);
-        let ctx = ModelCtx { objects: &objects };
-        assert_eq!(ctx.object_containing(0x100), Some((0x100, 0x10)));
-        assert_eq!(ctx.object_containing(0x10F), Some((0x100, 0x10)));
-        assert_eq!(ctx.object_containing(0x110), None);
-        assert_eq!(ctx.object_containing(0x207), Some((0x200, 8)));
-        assert_eq!(ctx.object_containing(0x50), None);
+    fn derived_properties() {
+        let v2 = ModelKind::CheriV2.rules();
+        let v3 = ModelKind::CheriV3.rules();
+        assert!(!v2.intcap_arith_allowed() && v3.intcap_arith_allowed());
+        assert!(v2.const_enforced && !v3.const_enforced);
+        assert_eq!(v3.target(), TargetInfo::cheri());
+        for k in [ModelKind::HardBound, ModelKind::Mpx, ModelKind::Strict] {
+            assert!(k.rules().uses_shadow() && !k.rules().stores_caps());
+        }
+        for k in [ModelKind::Pdp11, ModelKind::Relaxed] {
+            let r = k.rules();
+            assert!(!r.uses_shadow() && !r.stores_caps());
+            assert_eq!(r.target(), TargetInfo::lp64());
+        }
     }
 
     #[test]

@@ -1,580 +1,28 @@
-//! The seven memory-model implementations.
+//! The executable reading of the rule table: every pointer operation the
+//! interpreter delegates — creation, arithmetic, dereference, conversion to
+//! and from integers, reloading from memory — decided by [`Rules`].
+//!
+//! The interpreter owns memory, scopes and control flow. Each operation
+//! here matches on the model's [`Repr`], never on which model it is, so a
+//! model's behaviour follows from its row in [`crate::ModelKind::rules`].
 
-use crate::layout::TargetInfo;
-use crate::model::{MemoryModel, ModelCtx, ModelError, ModelKind, ShadowEntry};
+use crate::model::{ModelError, Repr, Rules, ShadowEntry};
 use crate::value::{IntValue, Prov, PtrVal};
 use cheri_c::{CapQual, Type};
 use cheri_cap::{CapError, Capability, Perms};
+use std::collections::BTreeMap;
 
-/// Instantiates the model for `kind`.
-pub fn build(kind: ModelKind) -> Box<dyn MemoryModel> {
-    match kind {
-        ModelKind::Pdp11 => Box::new(Pdp11),
-        ModelKind::HardBound => Box::new(HardBound),
-        ModelKind::Mpx => Box::new(Mpx),
-        ModelKind::Relaxed => Box::new(Relaxed),
-        ModelKind::Strict => Box::new(Strict),
-        ModelKind::CheriV2 => Box::new(Cheri { v3: false }),
-        ModelKind::CheriV3 => Box::new(Cheri { v3: true }),
-    }
+/// The live object containing `addr`, if any (`objects`: base → length).
+fn object_containing(objects: &BTreeMap<u64, u64>, addr: u64) -> Option<(u64, u64)> {
+    let (&base, &len) = objects.range(..=addr).next_back()?;
+    (addr < base + len).then_some((base, len))
 }
 
-fn fat_add(p: &PtrVal, delta: i64) -> PtrVal {
-    match *p {
-        PtrVal::Plain { addr } => PtrVal::Plain {
-            addr: addr.wrapping_add(delta as u64),
-        },
-        PtrVal::Fat { addr, base, len } => PtrVal::Fat {
-            addr: addr.wrapping_add(delta as u64),
-            base,
-            len,
-        },
-        PtrVal::Cap(_) => unreachable!("fat models never hold capabilities"),
-    }
-}
-
-fn fat_check(p: &PtrVal, len: u64, fail_open_plain: bool) -> Result<u64, ModelError> {
-    match *p {
-        PtrVal::Plain { addr } => {
-            if fail_open_plain {
-                Ok(addr) // metadata lost: MPX checks succeed unconditionally
-            } else {
-                Err(ModelError::new(
-                    "provenance",
-                    format!("unbounded pointer {addr:#x}"),
-                ))
-            }
-        }
-        PtrVal::Fat {
-            addr,
-            base,
-            len: olen,
-        } => {
-            if olen == 0 {
-                return Err(ModelError::new(
-                    "provenance",
-                    format!("pointer {addr:#x} lost its bounds; failing closed"),
-                ));
-            }
-            if addr >= base && addr.wrapping_add(len) <= base + olen {
-                Ok(addr)
-            } else {
-                Err(ModelError::new(
-                    "bounds",
-                    format!(
-                        "access of {len} at {addr:#x} outside [{base:#x}, {:#x})",
-                        base + olen
-                    ),
-                ))
-            }
-        }
-        PtrVal::Cap(_) => unreachable!("fat models never hold capabilities"),
-    }
-}
-
-fn plain_int(p: &PtrVal, width: u8, signed: bool, with_prov: bool) -> IntValue {
-    let mut iv = IntValue::new(p.addr() as i64, width, signed);
-    if with_prov && width == 8 {
-        if let PtrVal::Fat { base, len, .. } = *p {
-            if len != 0 {
-                iv.prov = Some(Prov {
-                    base,
-                    len,
-                    modified: false,
-                });
-            }
-        }
-    }
-    iv
-}
-
-// --- PDP-11 -----------------------------------------------------------
-
-/// Pointers are integers; nothing is checked (beyond the machine's
-/// unmapped-page faults). The memory model of the original C target and of
-/// contemporary x86/MIPS implementations.
-struct Pdp11;
-
-impl MemoryModel for Pdp11 {
-    fn kind(&self) -> ModelKind {
-        ModelKind::Pdp11
-    }
-
-    fn target(&self) -> TargetInfo {
-        TargetInfo::lp64()
-    }
-
-    fn make_ptr(&self, base: u64, _len: u64, _ty: &Type) -> PtrVal {
-        PtrVal::Plain { addr: base }
-    }
-
-    fn adjust_for_type(&self, p: PtrVal, _ty: &Type) -> PtrVal {
-        p
-    }
-
-    fn ptr_add(&self, p: &PtrVal, delta: i64) -> Result<PtrVal, ModelError> {
-        Ok(PtrVal::Plain {
-            addr: p.addr().wrapping_add(delta as u64),
-        })
-    }
-
-    fn ptr_diff(&self, a: &PtrVal, b: &PtrVal) -> Result<i64, ModelError> {
-        Ok(a.addr().wrapping_sub(b.addr()) as i64)
-    }
-
-    fn deref(
-        &self,
-        _ctx: &ModelCtx<'_>,
-        p: &PtrVal,
-        _len: u64,
-        _write: bool,
-    ) -> Result<u64, ModelError> {
-        Ok(p.addr())
-    }
-
-    fn ptr_to_int(&self, p: &PtrVal, width: u8, signed: bool) -> Result<IntValue, ModelError> {
-        Ok(plain_int(p, width, signed, false))
-    }
-
-    fn int_to_ptr(
-        &self,
-        _ctx: &ModelCtx<'_>,
-        v: &IntValue,
-        _ty: &Type,
-    ) -> Result<PtrVal, ModelError> {
-        Ok(PtrVal::Plain { addr: v.v })
-    }
-
-    fn load_ptr_bits(
-        &self,
-        _ctx: &ModelCtx<'_>,
-        bits: u64,
-        _shadow: Option<&ShadowEntry>,
-    ) -> PtrVal {
-        PtrVal::Plain { addr: bits }
-    }
-}
-
-// --- HardBound ---------------------------------------------------------
-
-/// Fat pointers whose metadata shadows every memory word; provenance lost
-/// through integer arithmetic makes the pointer unusable — **fail closed**.
-struct HardBound;
-
-impl MemoryModel for HardBound {
-    fn kind(&self) -> ModelKind {
-        ModelKind::HardBound
-    }
-
-    fn target(&self) -> TargetInfo {
-        TargetInfo::lp64()
-    }
-
-    fn uses_shadow(&self) -> bool {
-        true
-    }
-
-    fn make_ptr(&self, base: u64, len: u64, _ty: &Type) -> PtrVal {
-        PtrVal::Fat {
-            addr: base,
-            base,
-            len,
-        }
-    }
-
-    fn adjust_for_type(&self, p: PtrVal, _ty: &Type) -> PtrVal {
-        p
-    }
-
-    fn ptr_add(&self, p: &PtrVal, delta: i64) -> Result<PtrVal, ModelError> {
-        Ok(fat_add(p, delta))
-    }
-
-    fn ptr_diff(&self, a: &PtrVal, b: &PtrVal) -> Result<i64, ModelError> {
-        Ok(a.addr().wrapping_sub(b.addr()) as i64)
-    }
-
-    fn deref(
-        &self,
-        _ctx: &ModelCtx<'_>,
-        p: &PtrVal,
-        len: u64,
-        _write: bool,
-    ) -> Result<u64, ModelError> {
-        fat_check(p, len, false)
-    }
-
-    fn ptr_to_int(&self, p: &PtrVal, width: u8, signed: bool) -> Result<IntValue, ModelError> {
-        Ok(plain_int(p, width, signed, true))
-    }
-
-    fn int_to_ptr(
-        &self,
-        _ctx: &ModelCtx<'_>,
-        v: &IntValue,
-        _ty: &Type,
-    ) -> Result<PtrVal, ModelError> {
-        match v.prov {
-            Some(Prov {
-                base,
-                len,
-                modified: false,
-            }) => Ok(PtrVal::Fat {
-                addr: v.v,
-                base,
-                len,
-            }),
-            _ => Ok(PtrVal::Fat {
-                addr: v.v,
-                base: 0,
-                len: 0,
-            }), // fail closed at deref
-        }
-    }
-
-    fn load_ptr_bits(
-        &self,
-        _ctx: &ModelCtx<'_>,
-        bits: u64,
-        shadow: Option<&ShadowEntry>,
-    ) -> PtrVal {
-        match shadow {
-            Some(e) if e.bits == bits => PtrVal::Fat {
-                addr: bits,
-                base: e.base,
-                len: e.len,
-            },
-            _ => PtrVal::Fat {
-                addr: bits,
-                base: 0,
-                len: 0,
-            },
-        }
-    }
-}
-
-// --- Intel MPX ---------------------------------------------------------
-
-/// Bounds in look-aside tables; a mismatch between the stored pointer and
-/// the table entry makes checks succeed unconditionally — **fail open**.
-/// Member access narrows bounds to the member's static type, which is what
-/// breaks `container_of` (§5.1).
-struct Mpx;
-
-impl MemoryModel for Mpx {
-    fn kind(&self) -> ModelKind {
-        ModelKind::Mpx
-    }
-
-    fn target(&self) -> TargetInfo {
-        TargetInfo::lp64()
-    }
-
-    fn uses_shadow(&self) -> bool {
-        true
-    }
-
-    fn make_ptr(&self, base: u64, len: u64, _ty: &Type) -> PtrVal {
-        PtrVal::Fat {
-            addr: base,
-            base,
-            len,
-        }
-    }
-
-    fn adjust_for_type(&self, p: PtrVal, _ty: &Type) -> PtrVal {
-        p
-    }
-
-    fn ptr_add(&self, p: &PtrVal, delta: i64) -> Result<PtrVal, ModelError> {
-        Ok(fat_add(p, delta))
-    }
-
-    fn ptr_diff(&self, a: &PtrVal, b: &PtrVal) -> Result<i64, ModelError> {
-        Ok(a.addr().wrapping_sub(b.addr()) as i64)
-    }
-
-    fn narrow_field(&self, p: &PtrVal, off: u64, size: u64) -> Result<PtrVal, ModelError> {
-        // The compiler emits BNDMK for the member's own extent — but only
-        // after the usual BNDCL/BNDCU of the field against the pointer's
-        // *current* bounds. A field "derived" outside those bounds keeps
-        // them, so the subsequent access faults (this is what breaks
-        // container_of, §5.1).
-        let addr = p.addr().wrapping_add(off);
-        Ok(match *p {
-            PtrVal::Plain { .. } => PtrVal::Plain { addr },
-            PtrVal::Fat { base, len, .. } => {
-                if addr >= base && addr.wrapping_add(size) <= base + len {
-                    PtrVal::Fat {
-                        addr,
-                        base: addr,
-                        len: size,
-                    }
-                } else {
-                    PtrVal::Fat { addr, base, len }
-                }
-            }
-            PtrVal::Cap(_) => unreachable!("fat models never hold capabilities"),
-        })
-    }
-
-    fn deref(
-        &self,
-        _ctx: &ModelCtx<'_>,
-        p: &PtrVal,
-        len: u64,
-        _write: bool,
-    ) -> Result<u64, ModelError> {
-        fat_check(p, len, true)
-    }
-
-    fn ptr_to_int(&self, p: &PtrVal, width: u8, signed: bool) -> Result<IntValue, ModelError> {
-        Ok(plain_int(p, width, signed, true))
-    }
-
-    fn int_to_ptr(
-        &self,
-        _ctx: &ModelCtx<'_>,
-        v: &IntValue,
-        _ty: &Type,
-    ) -> Result<PtrVal, ModelError> {
-        match v.prov {
-            Some(Prov {
-                base,
-                len,
-                modified: false,
-            }) => Ok(PtrVal::Fat {
-                addr: v.v,
-                base,
-                len,
-            }),
-            // Metadata desynchronized: checks pass unconditionally.
-            _ => Ok(PtrVal::Plain { addr: v.v }),
-        }
-    }
-
-    fn load_ptr_bits(
-        &self,
-        _ctx: &ModelCtx<'_>,
-        bits: u64,
-        shadow: Option<&ShadowEntry>,
-    ) -> PtrVal {
-        match shadow {
-            Some(e) if e.bits == bits => PtrVal::Fat {
-                addr: bits,
-                base: e.base,
-                len: e.len,
-            },
-            _ => PtrVal::Plain { addr: bits },
-        }
-    }
-}
-
-// --- Relaxed -----------------------------------------------------------
-
-/// "Allows pointers to be constructed from integer values as long as the
-/// object is still valid" (§5): dereference looks the address up in the
-/// live-object map. Accidentally *valid but wrong* pointers are possible —
-/// the paper's criticism of this point in the design space.
-struct Relaxed;
-
-impl MemoryModel for Relaxed {
-    fn kind(&self) -> ModelKind {
-        ModelKind::Relaxed
-    }
-
-    fn target(&self) -> TargetInfo {
-        TargetInfo::lp64()
-    }
-
-    fn make_ptr(&self, base: u64, _len: u64, _ty: &Type) -> PtrVal {
-        PtrVal::Plain { addr: base }
-    }
-
-    fn adjust_for_type(&self, p: PtrVal, _ty: &Type) -> PtrVal {
-        p
-    }
-
-    fn ptr_add(&self, p: &PtrVal, delta: i64) -> Result<PtrVal, ModelError> {
-        Ok(PtrVal::Plain {
-            addr: p.addr().wrapping_add(delta as u64),
-        })
-    }
-
-    fn ptr_diff(&self, a: &PtrVal, b: &PtrVal) -> Result<i64, ModelError> {
-        Ok(a.addr().wrapping_sub(b.addr()) as i64)
-    }
-
-    fn deref(
-        &self,
-        ctx: &ModelCtx<'_>,
-        p: &PtrVal,
-        len: u64,
-        _write: bool,
-    ) -> Result<u64, ModelError> {
-        let addr = p.addr();
-        match ctx.object_containing(addr) {
-            Some((base, olen)) if addr.wrapping_add(len) <= base + olen => Ok(addr),
-            _ => Err(ModelError::new(
-                "bounds",
-                format!("{addr:#x} is not within any live object"),
-            )),
-        }
-    }
-
-    fn ptr_to_int(&self, p: &PtrVal, width: u8, signed: bool) -> Result<IntValue, ModelError> {
-        Ok(plain_int(p, width, signed, false))
-    }
-
-    fn int_to_ptr(
-        &self,
-        _ctx: &ModelCtx<'_>,
-        v: &IntValue,
-        _ty: &Type,
-    ) -> Result<PtrVal, ModelError> {
-        Ok(PtrVal::Plain { addr: v.v })
-    }
-
-    fn load_ptr_bits(
-        &self,
-        _ctx: &ModelCtx<'_>,
-        bits: u64,
-        _shadow: Option<&ShadowEntry>,
-    ) -> PtrVal {
-        PtrVal::Plain { addr: bits }
-    }
-}
-
-// --- Strict ------------------------------------------------------------
-
-/// The paper's "ideal interpretation of the C standard": pointers may round
-/// trip through integers **only if unmodified**; any arithmetic invalidates
-/// them. Fails closed.
-struct Strict;
-
-impl MemoryModel for Strict {
-    fn kind(&self) -> ModelKind {
-        ModelKind::Strict
-    }
-
-    fn target(&self) -> TargetInfo {
-        TargetInfo::lp64()
-    }
-
-    fn uses_shadow(&self) -> bool {
-        true
-    }
-
-    fn make_ptr(&self, base: u64, len: u64, _ty: &Type) -> PtrVal {
-        PtrVal::Fat {
-            addr: base,
-            base,
-            len,
-        }
-    }
-
-    fn adjust_for_type(&self, p: PtrVal, _ty: &Type) -> PtrVal {
-        p
-    }
-
-    fn ptr_add(&self, p: &PtrVal, delta: i64) -> Result<PtrVal, ModelError> {
-        Ok(fat_add(p, delta))
-    }
-
-    fn ptr_diff(&self, a: &PtrVal, b: &PtrVal) -> Result<i64, ModelError> {
-        Ok(a.addr().wrapping_sub(b.addr()) as i64)
-    }
-
-    fn deref(
-        &self,
-        _ctx: &ModelCtx<'_>,
-        p: &PtrVal,
-        len: u64,
-        _write: bool,
-    ) -> Result<u64, ModelError> {
-        fat_check(p, len, false)
-    }
-
-    fn ptr_to_int(&self, p: &PtrVal, width: u8, signed: bool) -> Result<IntValue, ModelError> {
-        Ok(plain_int(p, width, signed, true))
-    }
-
-    fn int_to_ptr(
-        &self,
-        _ctx: &ModelCtx<'_>,
-        v: &IntValue,
-        _ty: &Type,
-    ) -> Result<PtrVal, ModelError> {
-        match v.prov {
-            Some(Prov {
-                base,
-                len,
-                modified: false,
-            }) => Ok(PtrVal::Fat {
-                addr: v.v,
-                base,
-                len,
-            }),
-            _ => Ok(PtrVal::Fat {
-                addr: v.v,
-                base: 0,
-                len: 0,
-            }),
-        }
-    }
-
-    fn load_ptr_bits(
-        &self,
-        _ctx: &ModelCtx<'_>,
-        bits: u64,
-        shadow: Option<&ShadowEntry>,
-    ) -> PtrVal {
-        match shadow {
-            Some(e) if e.bits == bits => PtrVal::Fat {
-                addr: bits,
-                base: e.base,
-                len: e.len,
-            },
-            _ => PtrVal::Fat {
-                addr: bits,
-                base: 0,
-                len: 0,
-            },
-        }
-    }
-}
-
-// --- CHERI (v2 and v3) --------------------------------------------------
-
-/// Capabilities. `v3` adds the offset field: pointer arithmetic moves the
-/// offset and bounds are enforced only at dereference. Without it (v2),
-/// `p + n` is `CIncBase` — monotonic — and `p - n` is unrepresentable.
-struct Cheri {
-    v3: bool,
-}
-
-impl Cheri {
-    fn perms_for(&self, ty: &Type) -> Perms {
-        match ty.cap_qual() {
-            CapQual::Input => Perms::input(),
-            CapQual::Output => Perms::output(),
-            CapQual::Capability | CapQual::None => {
-                if self.enforces_const() && ty.pointee_is_const() {
-                    Perms::input()
-                } else {
-                    Perms::data()
-                }
-            }
-        }
-    }
-
-    fn cap_of(p: &PtrVal) -> Capability {
-        match p {
-            PtrVal::Cap(c) => *c,
-            // Null constants and the like reach us as plain zeros.
-            PtrVal::Plain { addr } => Capability::from_int(*addr),
-            PtrVal::Fat { addr, .. } => Capability::from_int(*addr),
-        }
+fn cap_of(p: &PtrVal) -> Capability {
+    match p {
+        PtrVal::Cap(c) => *c,
+        // Null constants and the like reach us as plain zeros.
+        PtrVal::Plain { addr } | PtrVal::Fat { addr, .. } => Capability::from_int(*addr),
     }
 }
 
@@ -589,274 +37,420 @@ fn cap_err(e: CapError) -> ModelError {
     ModelError::new(kind, e.to_string())
 }
 
-impl MemoryModel for Cheri {
-    fn kind(&self) -> ModelKind {
-        if self.v3 {
-            ModelKind::CheriV3
-        } else {
-            ModelKind::CheriV2
+impl Rules {
+    fn perms_for(self, ty: &Type) -> Perms {
+        match ty.cap_qual() {
+            CapQual::Input => Perms::input(),
+            CapQual::Output => Perms::output(),
+            CapQual::Capability | CapQual::None => {
+                if self.const_enforced && ty.pointee_is_const() {
+                    Perms::input()
+                } else {
+                    Perms::data()
+                }
+            }
         }
     }
 
-    fn target(&self) -> TargetInfo {
-        TargetInfo::cheri()
+    /// A pointer rebuilt from raw bits and the bounds that survived with
+    /// them (`None`: the metadata was lost or desynchronized).
+    fn rebuild(self, addr: u64, bounds: Option<(u64, u64)>) -> PtrVal {
+        match (self.repr, bounds) {
+            (Repr::Addr { .. }, _) => PtrVal::Plain { addr },
+            (Repr::Fat { .. }, Some((base, len))) => PtrVal::Fat { addr, base, len },
+            // Fail open: no metadata, no check. Fail closed: a zero-length
+            // pointer traps at dereference.
+            (Repr::Fat { fail_open, .. }, None) => {
+                if fail_open {
+                    PtrVal::Plain { addr }
+                } else {
+                    PtrVal::Fat {
+                        addr,
+                        base: 0,
+                        len: 0,
+                    }
+                }
+            }
+            // An integer that is not an intcap_t derives no authority: the
+            // result is an untagged capability that traps at dereference.
+            (Repr::Cap { .. }, _) => PtrVal::Cap(Capability::from_int(addr)),
+        }
     }
 
-    fn stores_caps(&self) -> bool {
-        true
+    /// A fresh pointer to a new object `[base, base+len)` of type `ty`
+    /// (`ty` is the pointer type, for permission derivation).
+    pub(crate) fn make_ptr(self, base: u64, len: u64, ty: &Type) -> PtrVal {
+        match self.repr {
+            Repr::Addr { .. } => PtrVal::Plain { addr: base },
+            Repr::Fat { .. } => PtrVal::Fat {
+                addr: base,
+                base,
+                len,
+            },
+            Repr::Cap { .. } => PtrVal::Cap(Capability::new_mem(base, len, self.perms_for(ty))),
+        }
     }
 
-    fn intcap_arith_allowed(&self) -> bool {
-        // "The original CHERI implementation permitted only storing and
-        // loading of these values." (§5.1)
-        self.v3
-    }
-
-    fn enforces_const(&self) -> bool {
-        // The original CHERIv2 C compiler enforced const via permissions,
-        // which "broke a large amount of code" (§4.1); CHERIv3 makes const
-        // advisory and provides __input instead.
-        !self.v3
-    }
-
-    fn make_ptr(&self, base: u64, len: u64, ty: &Type) -> PtrVal {
-        PtrVal::Cap(Capability::new_mem(base, len, self.perms_for(ty)))
-    }
-
-    fn adjust_for_type(&self, p: PtrVal, ty: &Type) -> PtrVal {
+    /// Re-qualifies a pointer when it is converted/assigned to type `ty`
+    /// (CHERI dropping store permission for `__input`).
+    pub(crate) fn adjust_for_type(self, p: PtrVal, ty: &Type) -> PtrVal {
         let PtrVal::Cap(c) = p else { return p };
-        let want = self.perms_for(ty);
-        match c.and_perms(want) {
+        match c.and_perms(self.perms_for(ty)) {
             Ok(adj) => PtrVal::Cap(adj),
             Err(_) => p, // untagged/sealed values pass through unchanged
         }
     }
 
-    fn ptr_add(&self, p: &PtrVal, delta: i64) -> Result<PtrVal, ModelError> {
-        let c = Self::cap_of(p);
-        if self.v3 {
-            return Ok(PtrVal::Cap(c.inc_offset(delta).map_err(cap_err)?));
+    /// `p + delta` in bytes.
+    ///
+    /// # Errors
+    ///
+    /// A capability without an offset cannot move backwards or leave its
+    /// bounds.
+    pub(crate) fn ptr_add(self, p: &PtrVal, delta: i64) -> Result<PtrVal, ModelError> {
+        let moved = |addr: u64| addr.wrapping_add(delta as u64);
+        match (self.repr, *p) {
+            (Repr::Cap { offset: true }, _) => {
+                Ok(PtrVal::Cap(cap_of(p).inc_offset(delta).map_err(cap_err)?))
+            }
+            // Addition consumes bounds; subtraction is unrepresentable.
+            (Repr::Cap { offset: false }, _) => {
+                if delta < 0 {
+                    return Err(ModelError::new(
+                        "unrepresentable",
+                        "CHERIv2 capabilities cannot move backwards (pointer subtraction)",
+                    ));
+                }
+                let c = cap_of(p);
+                if delta == 0 {
+                    return Ok(PtrVal::Cap(c));
+                }
+                Ok(PtrVal::Cap(c.inc_base(delta as u64).map_err(cap_err)?))
+            }
+            (_, PtrVal::Fat { addr, base, len }) => Ok(PtrVal::Fat {
+                addr: moved(addr),
+                base,
+                len,
+            }),
+            _ => Ok(PtrVal::Plain {
+                addr: moved(p.addr()),
+            }),
         }
-        // CHERIv2: addition consumes bounds; subtraction is unrepresentable.
-        if delta < 0 {
-            return Err(ModelError::new(
-                "unrepresentable",
-                "CHERIv2 capabilities cannot move backwards (pointer subtraction)",
-            ));
-        }
-        if delta == 0 {
-            return Ok(PtrVal::Cap(c));
-        }
-        Ok(PtrVal::Cap(c.inc_base(delta as u64).map_err(cap_err)?))
     }
 
-    fn ptr_diff(&self, a: &PtrVal, b: &PtrVal) -> Result<i64, ModelError> {
-        if !self.v3 {
+    /// `a - b` in bytes.
+    ///
+    /// # Errors
+    ///
+    /// A capability without an offset cannot subtract pointers at all.
+    pub(crate) fn ptr_diff(self, a: &PtrVal, b: &PtrVal) -> Result<i64, ModelError> {
+        if self.repr == (Repr::Cap { offset: false }) {
             return Err(ModelError::new(
                 "unrepresentable",
                 "CHERIv2 does not support pointer subtraction",
             ));
         }
-        Ok(Self::cap_of(a)
-            .address()
-            .wrapping_sub(Self::cap_of(b).address()) as i64)
+        Ok(a.addr().wrapping_sub(b.addr()) as i64)
     }
 
-    fn deref(
-        &self,
-        _ctx: &ModelCtx<'_>,
+    /// Derives a pointer to a field at `off` with size `size`. A narrowing
+    /// fat pointer re-makes its bounds for the member; everything else
+    /// treats this as plain arithmetic.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Rules::ptr_add`].
+    pub(crate) fn narrow_field(
+        self,
+        p: &PtrVal,
+        off: u64,
+        size: u64,
+    ) -> Result<PtrVal, ModelError> {
+        let narrows = matches!(
+            self.repr,
+            Repr::Fat {
+                narrows_fields: true,
+                ..
+            }
+        );
+        match *p {
+            // The compiler emits BNDMK for the member's own extent — but only
+            // after the usual BNDCL/BNDCU of the field against the pointer's
+            // *current* bounds. A field "derived" outside those bounds keeps
+            // them, so the subsequent access faults (this is what breaks
+            // container_of, §5.1).
+            PtrVal::Fat { addr, base, len } if narrows => {
+                let addr = addr.wrapping_add(off);
+                Ok(if addr >= base && addr.wrapping_add(size) <= base + len {
+                    PtrVal::Fat {
+                        addr,
+                        base: addr,
+                        len: size,
+                    }
+                } else {
+                    PtrVal::Fat { addr, base, len }
+                })
+            }
+            _ => self.ptr_add(p, off as i64),
+        }
+    }
+
+    /// Validates an access of `len` bytes through `p`, returning the
+    /// virtual address to read or write. `objects` are the live objects
+    /// (base → length): globals, string literals, live heap blocks and
+    /// in-scope locals.
+    ///
+    /// # Errors
+    ///
+    /// The model's bounds/tag/permission discipline.
+    pub(crate) fn deref(
+        self,
+        objects: &BTreeMap<u64, u64>,
         p: &PtrVal,
         len: u64,
         write: bool,
     ) -> Result<u64, ModelError> {
-        let c = Self::cap_of(p);
-        let perm = if write { Perms::STORE } else { Perms::LOAD };
-        c.check_access(len, perm).map_err(cap_err)
+        match (self.repr, *p) {
+            (Repr::Addr { live_check: false }, _) => Ok(p.addr()),
+            (Repr::Addr { live_check: true }, _) => {
+                let addr = p.addr();
+                match object_containing(objects, addr) {
+                    Some((base, olen)) if addr.wrapping_add(len) <= base + olen => Ok(addr),
+                    _ => Err(ModelError::new(
+                        "bounds",
+                        format!("{addr:#x} is not within any live object"),
+                    )),
+                }
+            }
+            (Repr::Cap { .. }, _) => {
+                let perm = if write { Perms::STORE } else { Perms::LOAD };
+                cap_of(p).check_access(len, perm).map_err(cap_err)
+            }
+            (Repr::Fat { fail_open, .. }, PtrVal::Plain { addr }) => {
+                if fail_open {
+                    Ok(addr) // metadata lost: the check succeeds unconditionally
+                } else {
+                    Err(ModelError::new(
+                        "provenance",
+                        format!("unbounded pointer {addr:#x}"),
+                    ))
+                }
+            }
+            (Repr::Fat { .. }, PtrVal::Fat { addr, len: 0, .. }) => Err(ModelError::new(
+                "provenance",
+                format!("pointer {addr:#x} lost its bounds; failing closed"),
+            )),
+            (
+                Repr::Fat { .. },
+                PtrVal::Fat {
+                    addr,
+                    base,
+                    len: olen,
+                },
+            ) => {
+                if addr >= base && addr.wrapping_add(len) <= base + olen {
+                    Ok(addr)
+                } else {
+                    Err(ModelError::new(
+                        "bounds",
+                        format!(
+                            "access of {len} at {addr:#x} outside [{base:#x}, {:#x})",
+                            base + olen
+                        ),
+                    ))
+                }
+            }
+            (Repr::Fat { .. }, PtrVal::Cap(_)) => {
+                unreachable!("fat models never hold capabilities")
+            }
+        }
     }
 
-    fn ptr_to_int(&self, p: &PtrVal, width: u8, signed: bool) -> Result<IntValue, ModelError> {
-        // The capability does not survive conversion to a *plain* integer;
-        // `intcap_t` (handled by the machine) is the supported round trip.
-        Ok(IntValue::new(
-            Self::cap_of(p).address() as i64,
-            width,
-            signed,
-        ))
+    /// Converts a pointer to a plain integer of `width` bytes (the **Int**
+    /// and **Wide** idioms). A fat pointer's bounds travel on a full-width
+    /// result as provenance; a capability does not survive conversion to a
+    /// *plain* integer (`intcap_t`, handled by the machine, is the supported
+    /// round trip).
+    pub(crate) fn ptr_to_int(self, p: &PtrVal, width: u8, signed: bool) -> IntValue {
+        let mut iv = IntValue::new(p.addr() as i64, width, signed);
+        if let PtrVal::Fat { base, len, .. } = *p {
+            if width == 8 && len != 0 {
+                iv.prov = Some(Prov {
+                    base,
+                    len,
+                    modified: false,
+                });
+            }
+        }
+        iv
     }
 
-    fn int_to_ptr(
-        &self,
-        _ctx: &ModelCtx<'_>,
-        v: &IntValue,
-        _ty: &Type,
-    ) -> Result<PtrVal, ModelError> {
-        // An integer that is not an intcap_t derives no authority: the
-        // result is an untagged capability that traps at dereference.
-        Ok(PtrVal::Cap(Capability::from_int(v.v)))
+    /// Reconstructs a pointer from an integer: fat pointers recover their
+    /// bounds only from unmodified provenance.
+    pub(crate) fn int_to_ptr(self, v: &IntValue) -> PtrVal {
+        let bounds = v.prov.filter(|p| !p.modified).map(|p| (p.base, p.len));
+        self.rebuild(v.v, bounds)
     }
 
-    fn load_ptr_bits(
-        &self,
-        _ctx: &ModelCtx<'_>,
-        bits: u64,
-        _shadow: Option<&ShadowEntry>,
-    ) -> PtrVal {
-        // Capabilities load through tagged memory, not through raw bits;
-        // reaching here means the storage was overwritten by data.
-        PtrVal::Cap(Capability::from_int(bits))
+    /// Materializes a pointer loaded from memory, given the raw bits and
+    /// the shadow entry (if any) recorded at the storage address.
+    /// Capabilities load through tagged memory instead; reaching here with
+    /// one means the storage was overwritten by data.
+    pub(crate) fn load_ptr_bits(self, bits: u64, shadow: Option<&ShadowEntry>) -> PtrVal {
+        let bounds = shadow.filter(|e| e.bits == bits).map(|e| (e.base, e.len));
+        self.rebuild(bits, bounds)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
-
-    fn ctx_with(objs: &[(u64, u64)]) -> BTreeMap<u64, u64> {
-        objs.iter().copied().collect()
-    }
+    use crate::model::ModelKind;
 
     fn ty_ip() -> Type {
         Type::ptr_to(Type::int())
     }
 
+    const NONE: &BTreeMap<u64, u64> = &BTreeMap::new();
+
+    #[test]
+    fn object_lookup() {
+        let objects: BTreeMap<u64, u64> = [(0x100, 0x10), (0x200, 0x8)].into_iter().collect();
+        assert_eq!(object_containing(&objects, 0x100), Some((0x100, 0x10)));
+        assert_eq!(object_containing(&objects, 0x10F), Some((0x100, 0x10)));
+        assert_eq!(object_containing(&objects, 0x110), None);
+        assert_eq!(object_containing(&objects, 0x207), Some((0x200, 8)));
+        assert_eq!(object_containing(&objects, 0x50), None);
+    }
+
     #[test]
     fn pdp11_never_checks() {
-        let m = build(ModelKind::Pdp11);
+        let m = ModelKind::Pdp11.rules();
         let p = m.make_ptr(0x1000, 16, &ty_ip());
         let q = m.ptr_add(&p, 1 << 20).unwrap();
-        let objs = ctx_with(&[]);
-        assert!(m.deref(&ModelCtx { objects: &objs }, &q, 8, true).is_ok());
+        assert!(m.deref(NONE, &q, 8, true).is_ok());
     }
 
     #[test]
     fn hardbound_bounds_and_fail_closed() {
-        let m = build(ModelKind::HardBound);
-        let objs = ctx_with(&[]);
-        let ctx = ModelCtx { objects: &objs };
+        let m = ModelKind::HardBound.rules();
         let p = m.make_ptr(0x1000, 16, &ty_ip());
-        assert!(m.deref(&ctx, &p, 16, false).is_ok());
+        assert!(m.deref(NONE, &p, 16, false).is_ok());
         let oob = m.ptr_add(&p, 16).unwrap();
-        assert_eq!(m.deref(&ctx, &oob, 1, false).unwrap_err().kind, "bounds");
+        assert_eq!(m.deref(NONE, &oob, 1, false).unwrap_err().kind, "bounds");
         // Round trip through modified integer: fail closed.
-        let mut iv = m.ptr_to_int(&p, 8, false).unwrap();
-        iv = iv.touch_prov();
-        let back = m.int_to_ptr(&ctx, &iv, &ty_ip()).unwrap();
+        let iv = m.ptr_to_int(&p, 8, false).touch_prov();
+        let back = m.int_to_ptr(&iv);
         assert_eq!(
-            m.deref(&ctx, &back, 1, false).unwrap_err().kind,
+            m.deref(NONE, &back, 1, false).unwrap_err().kind,
             "provenance"
         );
     }
 
     #[test]
     fn hardbound_unmodified_round_trip_restores() {
-        let m = build(ModelKind::HardBound);
-        let objs = ctx_with(&[]);
-        let ctx = ModelCtx { objects: &objs };
+        let m = ModelKind::HardBound.rules();
         let p = m.make_ptr(0x1000, 16, &ty_ip());
-        let iv = m.ptr_to_int(&p, 8, false).unwrap();
-        let back = m.int_to_ptr(&ctx, &iv, &ty_ip()).unwrap();
-        assert!(m.deref(&ctx, &back, 8, false).is_ok());
+        let back = m.int_to_ptr(&m.ptr_to_int(&p, 8, false));
+        assert!(m.deref(NONE, &back, 8, false).is_ok());
     }
 
     #[test]
     fn mpx_fails_open_on_lost_metadata() {
-        let m = build(ModelKind::Mpx);
-        let objs = ctx_with(&[]);
-        let ctx = ModelCtx { objects: &objs };
+        let m = ModelKind::Mpx.rules();
         let p = m.make_ptr(0x1000, 16, &ty_ip());
-        let mut iv = m.ptr_to_int(&p, 8, false).unwrap();
-        iv = iv.touch_prov();
-        let back = m.int_to_ptr(&ctx, &iv, &ty_ip()).unwrap();
+        let back = m.int_to_ptr(&m.ptr_to_int(&p, 8, false).touch_prov());
         // Metadata is gone, so the access is unchecked: fail open.
-        assert!(m.deref(&ctx, &back, 1 << 20, false).is_ok());
+        assert!(m.deref(NONE, &back, 1 << 20, false).is_ok());
     }
 
     #[test]
     fn mpx_narrowing_breaks_container() {
-        let m = build(ModelKind::Mpx);
-        let objs = ctx_with(&[]);
-        let ctx = ModelCtx { objects: &objs };
+        let m = ModelKind::Mpx.rules();
         let outer = m.make_ptr(0x1000, 24, &ty_ip());
         let field = m.narrow_field(&outer, 8, 4).unwrap();
-        assert!(m.deref(&ctx, &field, 4, false).is_ok());
+        assert!(m.deref(NONE, &field, 4, false).is_ok());
         // container_of: subtract back to the struct start, then use it.
         let back = m.ptr_add(&field, -8).unwrap();
-        assert_eq!(m.deref(&ctx, &back, 24, false).unwrap_err().kind, "bounds");
+        assert_eq!(m.deref(NONE, &back, 24, false).unwrap_err().kind, "bounds");
+    }
+
+    #[test]
+    fn shadow_reload_restores_only_matching_bits() {
+        let e = ShadowEntry {
+            bits: 0x1008,
+            base: 0x1000,
+            len: 16,
+        };
+        for k in [ModelKind::HardBound, ModelKind::Mpx] {
+            let m = k.rules();
+            assert!(m
+                .deref(NONE, &m.load_ptr_bits(0x1008, Some(&e)), 8, false)
+                .is_ok());
+        }
+        // Overwritten bits: HardBound fails closed, MPX fails open.
+        let hb = ModelKind::HardBound.rules();
+        let stale = hb.load_ptr_bits(0x2000, Some(&e));
+        assert_eq!(
+            hb.deref(NONE, &stale, 1, false).unwrap_err().kind,
+            "provenance"
+        );
+        let mpx = ModelKind::Mpx.rules();
+        assert!(mpx
+            .deref(NONE, &mpx.load_ptr_bits(0x2000, Some(&e)), 1, false)
+            .is_ok());
     }
 
     #[test]
     fn relaxed_reconstructs_from_live_objects() {
-        let m = build(ModelKind::Relaxed);
-        let objs = ctx_with(&[(0x1000, 16)]);
-        let ctx = ModelCtx { objects: &objs };
-        let iv = IntValue::new(0x1008, 8, false);
-        let p = m.int_to_ptr(&ctx, &iv, &ty_ip()).unwrap();
-        assert!(m.deref(&ctx, &p, 8, false).is_ok());
+        let m = ModelKind::Relaxed.rules();
+        let objs: BTreeMap<u64, u64> = [(0x1000, 16)].into_iter().collect();
+        let p = m.int_to_ptr(&IntValue::new(0x1008, 8, false));
+        assert!(m.deref(&objs, &p, 8, false).is_ok());
         // Freeing the object (removing it) kills the pointer.
-        let empty = ctx_with(&[]);
-        assert_eq!(
-            m.deref(&ModelCtx { objects: &empty }, &p, 8, false)
-                .unwrap_err()
-                .kind,
-            "bounds"
-        );
+        assert_eq!(m.deref(NONE, &p, 8, false).unwrap_err().kind, "bounds");
     }
 
     #[test]
     fn strict_rejects_modified_round_trip() {
-        let m = build(ModelKind::Strict);
-        let objs = ctx_with(&[]);
-        let ctx = ModelCtx { objects: &objs };
+        let m = ModelKind::Strict.rules();
         let p = m.make_ptr(0x1000, 16, &ty_ip());
-        let iv = m.ptr_to_int(&p, 8, false).unwrap();
-        assert!(m
-            .deref(&ctx, &m.int_to_ptr(&ctx, &iv, &ty_ip()).unwrap(), 8, false)
-            .is_ok());
-        let poisoned = iv.touch_prov();
-        let bad = m.int_to_ptr(&ctx, &poisoned, &ty_ip()).unwrap();
+        let iv = m.ptr_to_int(&p, 8, false);
+        assert!(m.deref(NONE, &m.int_to_ptr(&iv), 8, false).is_ok());
+        let bad = m.int_to_ptr(&iv.touch_prov());
         assert_eq!(
-            m.deref(&ctx, &bad, 1, false).unwrap_err().kind,
+            m.deref(NONE, &bad, 1, false).unwrap_err().kind,
             "provenance"
         );
     }
 
     #[test]
     fn cheriv2_monotonicity() {
-        let m = build(ModelKind::CheriV2);
+        let m = ModelKind::CheriV2.rules();
         let p = m.make_ptr(0x1000, 16, &ty_ip());
         assert_eq!(m.ptr_add(&p, -4).unwrap_err().kind, "unrepresentable");
         assert_eq!(m.ptr_add(&p, 32).unwrap_err().kind, "bounds");
         assert!(m.ptr_diff(&p, &p).is_err());
-        assert!(!m.intcap_arith_allowed());
-        assert!(m.enforces_const());
     }
 
     #[test]
     fn cheriv3_roams_then_checks() {
-        let m = build(ModelKind::CheriV3);
-        let objs = ctx_with(&[]);
-        let ctx = ModelCtx { objects: &objs };
+        let m = ModelKind::CheriV3.rules();
         let p = m.make_ptr(0x1000, 16, &ty_ip());
         let out = m.ptr_add(&p, 100).unwrap();
-        assert_eq!(m.deref(&ctx, &out, 1, false).unwrap_err().kind, "bounds");
+        assert_eq!(m.deref(NONE, &out, 1, false).unwrap_err().kind, "bounds");
         let back = m.ptr_add(&out, -92).unwrap();
-        assert!(m.deref(&ctx, &back, 8, false).is_ok());
+        assert!(m.deref(NONE, &back, 8, false).is_ok());
         assert_eq!(m.ptr_diff(&back, &p).unwrap(), 8);
-        assert!(m.intcap_arith_allowed());
-        assert!(!m.enforces_const());
     }
 
     #[test]
     fn cheri_plain_int_round_trip_is_untagged() {
         for k in [ModelKind::CheriV2, ModelKind::CheriV3] {
-            let m = build(k);
-            let objs = ctx_with(&[]);
-            let ctx = ModelCtx { objects: &objs };
+            let m = k.rules();
             let p = m.make_ptr(0x1000, 16, &ty_ip());
-            let iv = m.ptr_to_int(&p, 8, false).unwrap();
-            let back = m.int_to_ptr(&ctx, &iv, &ty_ip()).unwrap();
-            assert_eq!(m.deref(&ctx, &back, 1, false).unwrap_err().kind, "tag");
+            let back = m.int_to_ptr(&m.ptr_to_int(&p, 8, false));
+            assert_eq!(m.deref(NONE, &back, 1, false).unwrap_err().kind, "tag");
         }
     }
 
@@ -867,16 +461,14 @@ mod tests {
             is_const: true,
             qual: CapQual::None,
         };
-        let objs = ctx_with(&[]);
-        let ctx = ModelCtx { objects: &objs };
         // v2: store permission stripped; write traps even after deconst.
-        let m2 = build(ModelKind::CheriV2);
+        let m2 = ModelKind::CheriV2.rules();
         let p2 = m2.make_ptr(0x1000, 16, &const_ptr);
-        assert_eq!(m2.deref(&ctx, &p2, 1, true).unwrap_err().kind, "permission");
+        assert_eq!(m2.deref(NONE, &p2, 1, true).unwrap_err().kind, "permission");
         // v3: const is advisory; the write is allowed.
-        let m3 = build(ModelKind::CheriV3);
+        let m3 = ModelKind::CheriV3.rules();
         let p3 = m3.make_ptr(0x1000, 16, &const_ptr);
-        assert!(m3.deref(&ctx, &p3, 1, true).is_ok());
+        assert!(m3.deref(NONE, &p3, 1, true).is_ok());
     }
 
     #[test]
@@ -886,16 +478,13 @@ mod tests {
             is_const: false,
             qual: CapQual::Input,
         };
-        let objs = ctx_with(&[]);
-        let ctx = ModelCtx { objects: &objs };
         for k in [ModelKind::CheriV2, ModelKind::CheriV3] {
-            let m = build(k);
-            let data = Type::ptr_to(Type::char_());
-            let p = m.make_ptr(0x1000, 16, &data);
+            let m = k.rules();
+            let p = m.make_ptr(0x1000, 16, &Type::ptr_to(Type::char_()));
             let narrowed = m.adjust_for_type(p, &input_ptr);
-            assert!(m.deref(&ctx, &narrowed, 1, false).is_ok());
+            assert!(m.deref(NONE, &narrowed, 1, false).is_ok());
             assert_eq!(
-                m.deref(&ctx, &narrowed, 1, true).unwrap_err().kind,
+                m.deref(NONE, &narrowed, 1, true).unwrap_err().kind,
                 "permission"
             );
         }

@@ -21,9 +21,10 @@ use crate::lattice::{
     AbsVal, CmpFact, CmpRhs, IntAbs, Interval, ModelSet, PtrAbs, Region, RoundTrip, Taint,
 };
 use crate::report::{Finding, FindingKind, Report};
+use crate::rules::{offsetless_caps, rules_may_trap, DerefFacts};
 use cheri_c::{BinOp, StructDef, Type, UnOp};
 use cheri_idioms::Idiom;
-use cheri_interp::{size_of, BinMeta, Builtin, Cfg, ConstOrigin, IrProgram, ModelKind, Op};
+use cheri_interp::{size_of, BinMeta, Builtin, Cfg, ConstOrigin, IrProgram, Op};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// `sizeof(void)` poison marker in `BinMeta::a_elem` / op size fields
@@ -396,6 +397,7 @@ impl<'a> Analyzer<'a> {
                     via_intcap_all: false,
                     truncated: false,
                     stripped: true,
+                    meta_intact: false,
                 }),
                 ..IntAbs::top()
             }),
@@ -403,6 +405,7 @@ impl<'a> Analyzer<'a> {
                 range: Interval::FULL,
                 taint: i.taint.clone().map(|t| Taint {
                     stripped: true,
+                    meta_intact: false,
                     ..t
                 }),
                 ..IntAbs::top()
@@ -540,6 +543,7 @@ impl<'a> Analyzer<'a> {
                         modified: t.modified,
                         via_intcap: t.via_intcap_all,
                     }),
+                    meta_intact: t.meta_intact && t.prov.meta_intact,
                     ..PtrAbs::wild_ptr()
                 };
             }
@@ -563,6 +567,7 @@ impl<'a> Analyzer<'a> {
                     via_intcap: t.via_intcap_all && prov.rt.is_none_or(|r| r.via_intcap),
                 }),
                 mpx: prov.mpx,
+                meta_intact: t.meta_intact && prov.meta_intact,
             };
         }
         // Untainted integers: a constant zero is NULL, a small constant is
@@ -594,62 +599,33 @@ impl<'a> Analyzer<'a> {
 
     // --- The per-model dereference check ---
 
-    #[allow(clippy::too_many_lines)]
     fn deref_check(&mut self, pc: usize, p: &PtrAbs, len: u64, write: bool, st: &AbsState) {
-        use ModelKind::*;
-        let mut may = ModelSet::EMPTY;
         if p.region == Region::Null {
             self.add(pc, FindingKind::Deref, ModelSet::everything());
             return;
         }
-        let oob = p.wild
-            || match p.size {
-                None => false, // assumed-valid unknown object
-                Some(sz) => p.off.lo < 0 || i128::from(p.off.hi) + i128::from(len) > i128::from(sz),
-            };
-        let rt_mod = p.rt.is_some_and(|r| r.modified);
-        let rt_plain = p.rt.is_some_and(|r| !r.via_intcap);
-        let meta_lost = p.stripped || rt_mod || p.wild;
-        // PDP-11: only a damaged raw address faults (unmapped memory).
-        if p.truncated {
-            may = may.with(Pdp11);
-        }
-        // HardBound / Strict fail closed: lost or invalidated metadata
-        // yields a zero-length pointer; in-metadata pointers bounds-check.
-        if meta_lost || oob {
-            may = may.with(HardBound).with(Strict);
-        }
-        // MPX fails open: no (or desynchronized) bound-table entry means no
-        // check at all. Only an intact, possibly narrowed window traps.
-        let mpx_oob = !meta_lost
-            && match (p.mpx, p.size) {
-                (Some((lo, hi)), _) => {
-                    p.off.lo < i64::try_from(lo).unwrap_or(i64::MAX)
-                        || i128::from(p.off.hi) + i128::from(len) > i128::from(hi)
-                }
-                (None, Some(sz)) => {
-                    p.off.lo < 0 || i128::from(p.off.hi) + i128::from(len) > i128::from(sz)
-                }
-                (None, None) => false,
-            };
-        if p.truncated || mpx_oob {
-            may = may.with(Mpx);
-        }
-        // Relaxed checks the live-object map: address-based, so stripped
-        // metadata is irrelevant but liveness and bounds are not.
-        let freed = matches!(p.region, Region::Heap { site } if st.freed.contains(&site));
-        if p.wild || p.dead || freed || oob {
-            may = may.with(Relaxed);
-        }
-        // CHERI: the tag dies with any plain-integer round trip or byte
-        // copy; bounds are architectural; v2 additionally enforces const.
-        let cheri_bad = p.stripped || rt_plain || p.wild || oob;
-        if cheri_bad || (write && (p.is_const || p.const_stripped)) {
-            may = may.with(CheriV2);
-        }
-        if cheri_bad {
-            may = may.with(CheriV3);
-        }
+        let leaves = |lo: i64, hi: u64| {
+            p.off.lo < lo || i128::from(p.off.hi) + i128::from(len) > i128::from(hi)
+        };
+        // An unknown object (`size: None`) is assumed valid.
+        let oob = p.wild || p.size.is_some_and(|sz| leaves(0, sz));
+        let window_oob = match p.mpx {
+            Some((lo, hi)) => p.wild || leaves(i64::try_from(lo).unwrap_or(i64::MAX), hi),
+            None => oob,
+        };
+        let facts = DerefFacts {
+            truncated: p.truncated,
+            wild: p.wild,
+            stripped: p.stripped,
+            rt_modified: p.rt.is_some_and(|r| r.modified),
+            rt_plain: p.rt.is_some_and(|r| !r.via_intcap),
+            meta_intact: p.meta_intact,
+            oob,
+            window_oob,
+            dead: p.dead || matches!(p.region, Region::Heap { site } if st.freed.contains(&site)),
+            const_target: p.is_const || p.const_stripped,
+        };
+        let may = ModelSet::from_fn(|m| rules_may_trap(m.rules(), &facts, write));
         if !may.is_empty() {
             self.add(pc, FindingKind::Deref, may);
         }
@@ -726,6 +702,7 @@ impl<'a> Analyzer<'a> {
                     via_intcap_all: false,
                     truncated: false,
                     stripped: false,
+                    meta_intact: true,
                 }),
                 ..IntAbs::top()
             }),
@@ -946,6 +923,7 @@ fn taint_after(op: BinOp, mut t: Taint, on_left: bool, other: &IntAbs) -> Taint 
         .and_then(|o| t.delta.as_singleton().map(|d| (o, d)));
     let align = i64::try_from(t.prov.align).unwrap_or(1);
     t.modified = true;
+    t.meta_intact = false;
     match op {
         BinOp::Add => t.delta = t.delta.add(other.range),
         BinOp::Sub if on_left => t.delta = t.delta.sub(other.range),
@@ -1017,6 +995,7 @@ impl<'a> Analyzer<'a> {
                     via_intcap_all: true,
                     truncated: false,
                     stripped: false,
+                    meta_intact: true,
                 }),
                 ..IntAbs::top()
             },
@@ -1107,11 +1086,7 @@ impl<'a> Analyzer<'a> {
             (Some(pa), Some(pb)) if op == BinOp::Sub => {
                 // `ptr - ptr` goes through the model's ptr_diff; CHERIv2
                 // refuses pointer subtraction outright.
-                self.add(
-                    pc,
-                    FindingKind::Arith,
-                    ModelSet::EMPTY.with(ModelKind::CheriV2),
-                );
+                self.add(pc, FindingKind::Arith, offsetless_caps());
                 let elem = meta.a_elem;
                 let val = if elem != 0
                     && elem != ELEM_POISON
@@ -1163,11 +1138,7 @@ impl<'a> Analyzer<'a> {
     ) -> PtrAbs {
         if elem == 0 || elem == ELEM_POISON {
             // void-pointer arithmetic: scaled by the poison marker.
-            self.add(
-                pc,
-                FindingKind::Arith,
-                ModelSet::EMPTY.with(ModelKind::CheriV2),
-            );
+            self.add(pc, FindingKind::Arith, offsetless_caps());
             return PtrAbs {
                 via_add,
                 ..PtrAbs::wild_ptr()
@@ -1181,11 +1152,7 @@ impl<'a> Analyzer<'a> {
             .size
             .is_some_and(|sz| i128::from(p.off.hi) + i128::from(delta.hi) > i128::from(sz));
         if delta.lo < 0 || oob_up {
-            self.add(
-                pc,
-                FindingKind::Arith,
-                ModelSet::EMPTY.with(ModelKind::CheriV2),
-            );
+            self.add(pc, FindingKind::Arith, offsetless_caps());
         }
         PtrAbs {
             off: p.off.add(delta),
@@ -1211,11 +1178,7 @@ impl<'a> Analyzer<'a> {
                 .iter()
                 .any(|i| i.taint.as_ref().is_some_and(|t| t.via_intcap_any));
             if via_cap {
-                self.add(
-                    pc,
-                    FindingKind::Arith,
-                    ModelSet::EMPTY.with(ModelKind::CheriV2),
-                );
+                self.add(pc, FindingKind::Arith, offsetless_caps());
             }
         }
         let derived = ia.taint.is_some() || ib.taint.is_some();
@@ -1338,6 +1301,7 @@ impl<'a> Analyzer<'a> {
                 let mut j = x.join(y);
                 j.delta = Interval::FULL;
                 j.modified = true;
+                j.meta_intact = false;
                 Some(j)
             }
         };
@@ -1385,6 +1349,7 @@ impl<'a> Analyzer<'a> {
                         via_intcap_all: intcap,
                         truncated: width < 8,
                         stripped: false,
+                        meta_intact: true,
                     }),
                     fresh_cast: true,
                     ..IntAbs::top()
@@ -1477,6 +1442,7 @@ impl<'a> Analyzer<'a> {
         let modified_taint = |i: &IntAbs| {
             i.taint.clone().map(|mut t| {
                 t.modified = true;
+                t.meta_intact = false;
                 t.delta = Interval::FULL;
                 t
             })
@@ -1484,14 +1450,11 @@ impl<'a> Analyzer<'a> {
         let out = match (&v, op) {
             (AbsVal::Ptr(_), UnOp::Neg | UnOp::BitNot) => {
                 // Capability arithmetic on a live intcap value.
-                self.add(
-                    pc,
-                    FindingKind::Arith,
-                    ModelSet::EMPTY.with(ModelKind::CheriV2),
-                );
+                self.add(pc, FindingKind::Arith, offsetless_caps());
                 let mut t = Self::to_int(&v);
                 if let Some(tt) = &mut t.taint {
                     tt.modified = true;
+                    tt.meta_intact = false;
                     tt.delta = Interval::FULL;
                 }
                 t.range = Interval::FULL;
@@ -1974,6 +1937,7 @@ impl<'a> Analyzer<'a> {
                             via_intcap_all: false,
                             truncated: width < 8,
                             stripped: false,
+                            meta_intact: true,
                         }),
                         ..IntAbs::top()
                     }),
@@ -2231,6 +2195,7 @@ impl<'a> Analyzer<'a> {
                         via_intcap_all: true,
                         truncated: false,
                         stripped: false,
+                        meta_intact: true,
                     }),
                     ..IntAbs::top()
                 }),
@@ -2351,21 +2316,23 @@ pub fn analyze_ir(prog: &IrProgram, structs: &[StructDef], cheri: Option<&IrProg
         }
     }
     if let Some(ch) = cheri {
-        if ch.code.len() == prog.code.len() {
-            for (pc, (x, y)) in prog.code.iter().zip(&ch.code).enumerate() {
-                if let (Op::ConstInt { v: va, .. }, Op::ConstInt { v: vb, .. }) = (x, y) {
-                    if va != vb && prog.op_info(pc).origin != ConstOrigin::None {
-                        // A layout-sensitive constant: the CHERI build
-                        // observes different sizeof/offsetof values.
-                        a.func = func_name_at(prog, pc);
-                        a.add(
-                            pc,
-                            FindingKind::Layout,
-                            ModelSet::EMPTY
-                                .with(ModelKind::CheriV2)
-                                .with(ModelKind::CheriV3),
-                        );
-                    }
+        // Lowering differs between layouts only in folded constants, so the
+        // two op streams line up one to one.
+        assert_eq!(
+            ch.code.len(),
+            prog.code.len(),
+            "the second lowering has {} ops, the analyzed one {}",
+            ch.code.len(),
+            prog.code.len()
+        );
+        let on_layout = ModelSet::from_fn(|m| m.rules().target() == ch.target);
+        for (pc, (x, y)) in prog.code.iter().zip(&ch.code).enumerate() {
+            if let (Op::ConstInt { v: va, .. }, Op::ConstInt { v: vb, .. }) = (x, y) {
+                if va != vb && prog.op_info(pc).origin != ConstOrigin::None {
+                    // A layout-sensitive constant: a build for the second
+                    // layout observes different sizeof/offsetof values.
+                    a.func = func_name_at(prog, pc);
+                    a.add(pc, FindingKind::Layout, on_layout);
                 }
             }
         }
@@ -2384,6 +2351,7 @@ mod state_tests;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cheri_interp::ModelKind;
     use cheri_interp::{lower, TargetInfo};
 
     fn lint(src: &str) -> Report {

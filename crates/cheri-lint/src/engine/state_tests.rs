@@ -238,6 +238,7 @@ fn ptr(rng: &mut TestRng) -> PtrAbs {
             ],
         ),
         mpx: pick(rng, &[None, Some((0, 8)), Some((4, 12))]),
+        meta_intact: coin(rng, 2),
     }
 }
 
@@ -252,6 +253,7 @@ fn int(rng: &mut TestRng) -> IntAbs {
             via_intcap_all: coin(rng, 3),
             truncated: coin(rng, 5),
             stripped: coin(rng, 4),
+            meta_intact: coin(rng, 2),
         }),
         fresh_cast: coin(rng, 4),
         nonzero: coin(rng, 4),

@@ -204,6 +204,14 @@ impl ModelSet {
         self
     }
 
+    /// The models for which `f` holds.
+    pub fn from_fn(f: impl Fn(ModelKind) -> bool) -> ModelSet {
+        ModelKind::ALL
+            .into_iter()
+            .filter(|&m| f(m))
+            .fold(ModelSet::EMPTY, ModelSet::with)
+    }
+
     /// Adds the VM substrates.
     pub fn with_vm(mut self) -> ModelSet {
         self.0 |= VM_BIT;
@@ -318,6 +326,11 @@ pub struct PtrAbs {
     /// MPX look-aside bounds `[lo, hi)` relative to the object base, when
     /// narrower than the object (`narrow_field` narrows in-bounds fields).
     pub mpx: Option<(u64, u64)>,
+    /// On **some** path the bounds metadata is intact: a fat pointer whose
+    /// MPX bound-table entry still matches. `stripped`, `wild` and a
+    /// modified `rt` say metadata *may* be lost, so after a join they
+    /// cannot say that it may also be intact; this fact does.
+    pub meta_intact: bool,
 }
 
 impl PtrAbs {
@@ -338,6 +351,7 @@ impl PtrAbs {
             dead: false,
             rt: None,
             mpx: None,
+            meta_intact: true,
         }
     }
 
@@ -358,6 +372,7 @@ impl PtrAbs {
             dead: false,
             rt: None,
             mpx: None,
+            meta_intact: false,
         }
     }
 
@@ -380,6 +395,7 @@ impl PtrAbs {
             dead: false,
             rt: None,
             mpx: None,
+            meta_intact: true,
         }
     }
 
@@ -418,10 +434,14 @@ impl PtrAbs {
                     via_intcap: a.via_intcap && b.via_intcap,
                 }),
             },
+            // The narrower window: a trap on either path must survive the
+            // join (an empty window traps every access).
             mpx: match (self.mpx, o.mpx) {
-                (Some(a), Some(b)) if same_region => Some((a.0.min(b.0), a.1.max(b.1))),
+                (Some(a), Some(b)) if same_region => Some((a.0.max(b.0), a.1.min(b.1))),
+                (Some(w), None) | (None, Some(w)) if same_region => Some(w),
                 _ => None,
             },
+            meta_intact: self.meta_intact || o.meta_intact,
         }
     }
 }
@@ -448,6 +468,10 @@ pub struct Taint {
     pub truncated: bool,
     /// Only a byte-slice of the pointer (partial copy) — metadata lost.
     pub stripped: bool,
+    /// On **some** path the integer is the whole, unmodified cast, so a
+    /// fat pointer rebuilt from it recovers its bounds (the complement of
+    /// `modified` and `stripped`, which are may-facts too).
+    pub meta_intact: bool,
 }
 
 impl Taint {
@@ -461,6 +485,7 @@ impl Taint {
             via_intcap_all: self.via_intcap_all && o.via_intcap_all,
             truncated: self.truncated || o.truncated,
             stripped: self.stripped || o.stripped,
+            meta_intact: self.meta_intact || o.meta_intact,
         }
     }
 }
@@ -720,6 +745,7 @@ mod tests {
                 via_intcap_all: true,
                 truncated: false,
                 stripped: false,
+                meta_intact: true,
             }),
             ..IntAbs::top()
         };

@@ -7,11 +7,14 @@
 //! [`cheri_interp::Cfg`], and predicts **per memory model** which accesses
 //! trap — before running anything.
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! * [`lattice`] — the abstract domain: intervals, pointer shapes
 //!   ([`lattice::PtrAbs`]), pointer-derived integer taint
 //!   ([`lattice::Taint`]), and the [`lattice::ModelSet`] verdict bitset.
+//! * [`rules`] — the abstract reading of the interpreter's rule table
+//!   ([`cheri_interp::ModelKind::rules`]): which models may trap, given
+//!   the may-facts ([`rules::DerefFacts`]) about one access.
 //! * [`engine`] — the transfer functions (one arm per [`cheri_interp::Op`])
 //!   and the worklist driver, [`engine::analyze_ir`].
 //! * [`report`] — findings with source line/column, per-model `works`
@@ -28,6 +31,7 @@
 pub mod engine;
 pub mod lattice;
 pub mod report;
+pub mod rules;
 
 pub use engine::analyze_ir;
 pub use report::{Finding, FindingKind, Report};

@@ -226,6 +226,61 @@ fn lint_is_sound_on_generated_programs() {
     );
 }
 
+/// Programs that join a path on which MPX does not check (or checks a
+/// wide window) with one on which it checks a narrower window and traps.
+/// The lint must not call MPX clean on any of them.
+const JOINED_MPX_CASES: [&str; 4] = [
+    // One path loses the bounds metadata through a modified integer; the
+    // other keeps it and steps out of bounds.
+    "int g;\n\
+     int main(void) { int a[4]; int *p; long x;\n\
+     \x20   a[0]=0; a[1]=0; a[2]=0; a[3]=0;\n\
+     \x20   if (g) { x = (long)a; x = x + 4; p = (int*)x; } else { p = a + 4; }\n\
+     \x20   return *p; }\n",
+    // The same on a heap object.
+    "int g;\n\
+     int main(void) { int *a = malloc(16); int *p; long x;\n\
+     \x20   a[0]=0; a[1]=0; a[2]=0; a[3]=0;\n\
+     \x20   if (g) { x = (long)a; x = x + 4; p = (int*)x; } else { p = a + 4; }\n\
+     \x20   return *p; }\n",
+    // The integer is joined before the pointer is rebuilt from it.
+    "int g;\n\
+     int main(void) { int a[4]; int *p; long x;\n\
+     \x20   a[0]=0; a[1]=0; a[2]=0; a[3]=0;\n\
+     \x20   if (g) { x = (long)a; x = x + 4; } else { x = (long)(a + 4); }\n\
+     \x20   p = (int*)x;\n\
+     \x20   return *p; }\n",
+    // `container_of` on one path only: its bounds were narrowed to the
+    // member, the other path's were not.
+    "struct s { long a; int f; long b; };\n\
+     int g;\n\
+     int main(void) { struct s o; int *q; struct s *r;\n\
+     \x20   o.a = 0; o.f = 0; o.b = 0;\n\
+     \x20   if (g) { r = &o; } else { q = &o.f; r = (struct s *)((char *)q - 8); }\n\
+     \x20   return (int)r->b; }\n",
+];
+
+#[test]
+fn joined_mpx_cases_are_sound() {
+    for src in JOINED_MPX_CASES {
+        let report = analyze_source(src).expect("fixed case parses");
+        let unit = cheri::c::parse(src).expect("parsed above");
+        for m in ModelKind::ALL {
+            if report.works(m) {
+                assert!(
+                    run_main(&unit, m).is_ok(),
+                    "UNSOUND-CLEAN — lint blessed {m} but it traps\n{}\n{src}",
+                    report.render()
+                );
+            }
+        }
+        assert!(
+            run_main(&unit, ModelKind::Mpx).is_err(),
+            "one path traps on MPX\n{src}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
