@@ -367,6 +367,18 @@ impl TaggedMemory {
         }
     }
 
+    /// The bookkeeping of a plain data write over `[addr, addr+len)`:
+    /// clears the tags, drops the side-table entries and marks the pages
+    /// dirty. Callers have already bounds-checked. Out of line: the scalar
+    /// stores take it only to cross a granule or when the side table is in
+    /// use.
+    #[cold]
+    fn scrub(&mut self, addr: u64, len: u64) {
+        self.clear_tags_over(addr, len);
+        self.drop_side_over(addr, len);
+        self.mark_dirty(addr, len);
+    }
+
     /// Reads `len` bytes starting at `addr`.
     ///
     /// # Errors
@@ -386,31 +398,57 @@ impl TaggedMemory {
     pub fn write_bytes(&mut self, addr: u64, data: &[u8]) -> MemResult<()> {
         let a = self.check(addr, data.len() as u64)?;
         self.bytes[a..a + data.len()].copy_from_slice(data);
-        self.clear_tags_over(addr, data.len() as u64);
-        self.drop_side_over(addr, data.len() as u64);
-        self.mark_dirty(addr, data.len() as u64);
+        self.scrub(addr, data.len() as u64);
         Ok(())
     }
 
-    /// [`TaggedMemory::write_bytes`] for the fixed-width scalar stores. A
-    /// store inside one granule (every aligned one) clears one tag bit and
-    /// sets one dirty bit, since a granule never straddles a dirty page.
+    /// Reads the `N` bytes at `addr`: the one fixed-width scalar load,
+    /// under every `read_u*` wrapper and the VM's loads. One bounds check.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::OutOfRange`] if the range leaves the backing store.
     #[inline]
-    fn write_scalar<const N: usize>(&mut self, addr: u64, data: [u8; N]) -> MemResult<()> {
-        let a = self.check(addr, N as u64)?;
-        self.bytes[a..a + N].copy_from_slice(&data);
-        let g = a / CAP_ALIGN as usize;
-        if (a + N - 1) / CAP_ALIGN as usize != g {
-            self.clear_tags_over(addr, N as u64);
-            self.drop_side_over(addr, N as u64);
-            self.mark_dirty(addr, N as u64);
-            return Ok(());
+    pub fn read<const N: usize>(&self, addr: u64) -> MemResult<[u8; N]> {
+        usize::try_from(addr)
+            .ok()
+            .and_then(|a| self.bytes.get(a..)?.first_chunk())
+            .copied()
+            .ok_or(MemError::OutOfRange {
+                addr,
+                len: N as u64,
+            })
+    }
+
+    /// Writes `data` at `addr`, clearing the tag of every granule touched:
+    /// the one fixed-width scalar store, under every `write_u*` wrapper and
+    /// the VM's stores. A store inside one granule (every aligned one)
+    /// clears one tag bit and sets one dirty bit, since a granule never
+    /// straddles a dirty page; one across granules, or any while the
+    /// Cap128 side table holds an entry, takes the general path.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::OutOfRange`] if the range leaves the backing store.
+    #[inline]
+    pub fn write_scalar<const N: usize>(&mut self, addr: u64, data: [u8; N]) -> MemResult<()> {
+        let Some(dst) = usize::try_from(addr)
+            .ok()
+            .and_then(|a| self.bytes.get_mut(a..)?.first_chunk_mut())
+        else {
+            return Err(MemError::OutOfRange {
+                addr,
+                len: N as u64,
+            });
+        };
+        *dst = data;
+        let g = addr / CAP_ALIGN;
+        if (addr + N as u64 - 1) / CAP_ALIGN != g || !self.side.is_empty() {
+            self.scrub(addr, N as u64);
+        } else {
+            self.set_tag(g as usize, false);
+            self.mark_page_dirty(addr);
         }
-        self.set_tag(g, false);
-        if !self.side.is_empty() {
-            self.side.remove(&(g as u64 * CAP_ALIGN));
-        }
-        self.mark_page_dirty(addr);
         Ok(())
     }
 
@@ -421,7 +459,7 @@ impl TaggedMemory {
     /// [`MemError::OutOfRange`].
     #[inline]
     pub fn read_u8(&self, addr: u64) -> MemResult<u8> {
-        Ok(self.read_bytes(addr, 1)?[0])
+        self.read(addr).map(u8::from_le_bytes)
     }
 
     /// Reads a little-endian 16-bit value.
@@ -431,8 +469,7 @@ impl TaggedMemory {
     /// [`MemError::OutOfRange`].
     #[inline]
     pub fn read_u16(&self, addr: u64) -> MemResult<u16> {
-        let b = self.read_bytes(addr, 2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+        self.read(addr).map(u16::from_le_bytes)
     }
 
     /// Reads a little-endian 32-bit value.
@@ -442,8 +479,7 @@ impl TaggedMemory {
     /// [`MemError::OutOfRange`].
     #[inline]
     pub fn read_u32(&self, addr: u64) -> MemResult<u32> {
-        let b = self.read_bytes(addr, 4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        self.read(addr).map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian 64-bit value.
@@ -453,10 +489,7 @@ impl TaggedMemory {
     /// [`MemError::OutOfRange`].
     #[inline]
     pub fn read_u64(&self, addr: u64) -> MemResult<u64> {
-        let b = self.read_bytes(addr, 8)?;
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(b);
-        Ok(u64::from_le_bytes(buf))
+        self.read(addr).map(u64::from_le_bytes)
     }
 
     /// Writes one byte (clears the granule's tag).
@@ -466,7 +499,7 @@ impl TaggedMemory {
     /// [`MemError::OutOfRange`].
     #[inline]
     pub fn write_u8(&mut self, addr: u64, v: u8) -> MemResult<()> {
-        self.write_scalar(addr, [v])
+        self.write_scalar(addr, v.to_le_bytes())
     }
 
     /// Writes a little-endian 16-bit value (clears overlapping tags).
@@ -651,6 +684,14 @@ impl TaggedMemory {
         set_bits(&self.tags).map(|g| g * CAP_ALIGN)
     }
 
+    /// The byte ranges `[start, end)` written since construction or the
+    /// last [`TaggedMemory::reset`]: coalesced runs of whole pages,
+    /// ascending, the footprint a [`TaggedMemory::snapshot`] copies. A
+    /// memory built by [`TaggedMemory::new`] is zero outside them.
+    pub fn dirty_ranges(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        dirty_runs(&self.dirty, self.size())
+    }
+
     /// A capability-oblivious copy, as the hardware performs it: bytes are
     /// copied, and a destination granule receives the source granule's tag
     /// exactly when both are whole, mutually aligned granules within the
@@ -723,9 +764,7 @@ impl TaggedMemory {
     pub fn fill(&mut self, addr: u64, len: u64, value: u8) -> MemResult<()> {
         let a = self.check(addr, len)?;
         self.bytes[a..a + len as usize].fill(value);
-        self.clear_tags_over(addr, len);
-        self.drop_side_over(addr, len);
-        self.mark_dirty(addr, len);
+        self.scrub(addr, len);
         Ok(())
     }
 
@@ -998,6 +1037,13 @@ mod tests {
             vec![
                 (2 * DIRTY_CHUNK, 3 * DIRTY_CHUNK),
                 (9 * DIRTY_CHUNK, DIRTY_CHUNK)
+            ]
+        );
+        assert_eq!(
+            m.dirty_ranges().collect::<Vec<_>>(),
+            [
+                (2 * DIRTY_CHUNK, 5 * DIRTY_CHUNK),
+                (9 * DIRTY_CHUNK, 10 * DIRTY_CHUNK)
             ]
         );
         assert_mem_identical(&m, &snap.fork());

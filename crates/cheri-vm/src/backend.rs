@@ -388,8 +388,8 @@ type Handler = fn(&mut Vm, &TOp, u64, &mut Option<TrapCause>) -> Option<u64>;
 
 /// A bound op: handler pointer plus its operands, unpacked once at block
 /// compile time. `a`/`b`/`c` are the destination and source register
-/// indices (or the width, for memory ops); `flat` is the original
-/// [`FlatOp`], which [`h_flat`] runs through `exec_flat`.
+/// indices; `flat` is the original [`FlatOp`], which [`h_flat`] runs
+/// through `exec_flat`.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct TOp {
     run: Handler,
@@ -466,6 +466,9 @@ macro_rules! handlers {
     ($h:ident<_, $p:ident>: $($i:literal)*) => {
         [$($h::<$i, $p> as Handler),*]
     };
+    ($h:ident<_, $p:ident, $q:ident>: $($i:literal)*) => {
+        [$($h::<$i, $p, $q> as Handler),*]
+    };
 }
 
 /// One [`h_alu`] per [`Alu`] selector, indexed by `f as usize`.
@@ -522,24 +525,87 @@ fn h_jalr(vm: &mut Vm, t: &TOp, pc: u64, _: &mut Option<TrapCause>) -> Option<u6
     Some(target)
 }
 
-fn h_load<const SIGNED: bool, const CAP: bool>(
+/// The `N`-byte load [`Vm::load`]; one instance per width, signedness
+/// and addressing mode, so none picks them at run time.
+fn h_ld<const N: usize, const SIGNED: bool, const CAP: bool>(
     vm: &mut Vm,
     t: &TOp,
     pc: u64,
     trap: &mut Option<TrapCause>,
 ) -> Option<u64> {
-    let r = vm.exec_load(t.a, t.b, t.imm as i32, t.c, SIGNED, CAP);
-    settle(r.map(|()| pc + 1), trap)
+    settle(vm.load::<N, SIGNED, CAP>(t.a, t.b, t.imm as i32), trap)?;
+    Some(pc + 1)
 }
 
-fn h_store<const CAP: bool>(
+/// The `N`-byte store [`Vm::store`], one instance per width and
+/// addressing mode.
+fn h_st<const N: usize, const CAP: bool>(
     vm: &mut Vm,
     t: &TOp,
     pc: u64,
     trap: &mut Option<TrapCause>,
 ) -> Option<u64> {
-    let r = vm.exec_store(t.a, t.b, t.imm as i32, t.c, CAP);
-    settle(r.map(|()| pc + 1), trap)
+    settle(vm.store::<N, CAP>(t.a, t.b, t.imm as i32), trap)?;
+    Some(pc + 1)
+}
+
+/// One [`h_ld`] per width, indexed by `width.trailing_zeros()`.
+const fn load_handlers<const SIGNED: bool, const CAP: bool>() -> [Handler; 4] {
+    handlers!(h_ld<_, SIGNED, CAP>: 1 2 4 8)
+}
+
+/// The loads, indexed by `2 * signed + via_cap`, then as
+/// [`load_handlers`].
+const LOAD: [[Handler; 4]; 4] = [
+    load_handlers::<false, false>(),
+    load_handlers::<false, true>(),
+    load_handlers::<true, false>(),
+    load_handlers::<true, true>(),
+];
+
+/// One [`h_st`] per width, indexed by `width.trailing_zeros()`.
+const fn store_handlers<const CAP: bool>() -> [Handler; 4] {
+    handlers!(h_st<_, CAP>: 1 2 4 8)
+}
+
+/// The stores, indexed by `via_cap`, then as [`store_handlers`].
+const STORE: [[Handler; 4]; 2] = [store_handlers::<false>(), store_handlers::<true>()];
+
+/// `cd` = `cb` moved by `rt` (or by the immediate, when `IMM`).
+fn h_cincoffset<const IMM: bool>(
+    vm: &mut Vm,
+    t: &TOp,
+    pc: u64,
+    trap: &mut Option<TrapCause>,
+) -> Option<u64> {
+    let by = if IMM { t.imm } else { vm.reg(t.c) as i64 };
+    settle(vm.c_inc_offset(t.a, t.b, by), trap)?;
+    Some(pc + 1)
+}
+
+fn h_csetbounds(vm: &mut Vm, t: &TOp, pc: u64, trap: &mut Option<TrapCause>) -> Option<u64> {
+    settle(vm.c_set_bounds(t.a, t.b, vm.reg(t.c)), trap)?;
+    Some(pc + 1)
+}
+
+fn h_cfromptr(vm: &mut Vm, t: &TOp, pc: u64, trap: &mut Option<TrapCause>) -> Option<u64> {
+    settle(vm.c_from_ptr(t.a, t.b, vm.reg(t.c)), trap)?;
+    Some(pc + 1)
+}
+
+fn h_cmove(vm: &mut Vm, t: &TOp, pc: u64, _: &mut Option<TrapCause>) -> Option<u64> {
+    vm.c_move(t.a, t.b);
+    Some(pc + 1)
+}
+
+fn h_cgettag(vm: &mut Vm, t: &TOp, pc: u64, _: &mut Option<TrapCause>) -> Option<u64> {
+    vm.set_reg(t.a, vm.c_get_tag(t.b));
+    Some(pc + 1)
+}
+
+fn h_ctoptr(vm: &mut Vm, t: &TOp, pc: u64, _: &mut Option<TrapCause>) -> Option<u64> {
+    vm.set_reg(t.a, vm.c_to_ptr(t.b, t.c));
+    Some(pc + 1)
 }
 
 fn h_clc(vm: &mut Vm, t: &TOp, pc: u64, trap: &mut Option<TrapCause>) -> Option<u64> {
@@ -626,13 +692,9 @@ pub(crate) fn bind(kind: BackendKind, op: &FlatOp) -> TOp {
             signed,
             via_cap,
         } => {
-            let run = match (signed, via_cap) {
-                (true, true) => h_load::<true, true>,
-                (true, false) => h_load::<true, false>,
-                (false, true) => h_load::<false, true>,
-                (false, false) => h_load::<false, false>,
-            };
-            set!(run, rd, base, width, i64::from(off), 0);
+            let run = LOAD[2 * usize::from(signed) + usize::from(via_cap)]
+                [width.trailing_zeros() as usize];
+            set!(run, rd, base, 0, i64::from(off), 0);
         }
         FlatOp::Store {
             rv,
@@ -641,15 +703,18 @@ pub(crate) fn bind(kind: BackendKind, op: &FlatOp) -> TOp {
             width,
             via_cap,
         } => {
-            let run = if via_cap {
-                h_store::<true>
-            } else {
-                h_store::<false>
-            };
-            set!(run, rv, base, width, i64::from(off), 0);
+            let run = STORE[usize::from(via_cap)][width.trailing_zeros() as usize];
+            set!(run, rv, base, 0, i64::from(off), 0);
         }
         FlatOp::Clc { cd, cb, off } => set!(h_clc, cd, cb, 0, i64::from(off), 0),
         FlatOp::Csc { cs, cb, off } => set!(h_csc, cs, cb, 0, i64::from(off), 0),
+        FlatOp::CIncOffset { cd, cb, rt } => set!(h_cincoffset::<false>, cd, cb, rt, 0, 0),
+        FlatOp::CIncOffsetImm { cd, cb, imm } => set!(h_cincoffset::<true>, cd, cb, 0, imm, 0),
+        FlatOp::CSetBounds { cd, cb, rt } => set!(h_csetbounds, cd, cb, rt, 0, 0),
+        FlatOp::CFromPtr { cd, cb, rt } => set!(h_cfromptr, cd, cb, rt, 0, 0),
+        FlatOp::CMove { cd, cb } => set!(h_cmove, cd, cb, 0, 0, 0),
+        FlatOp::CGetTag { rd, cb } => set!(h_cgettag, rd, cb, 0, 0, 0),
+        FlatOp::CToPtr { rd, cb, ct } => set!(h_ctoptr, rd, cb, ct, 0, 0),
         // The other capability ops and the long tail keep `h_flat`.
         _ => {}
     }

@@ -659,27 +659,109 @@ impl Vm {
         Ok(c.check_access_at(offset, len, perm)?)
     }
 
-    #[inline]
-    fn load(&mut self, addr: u64, width: u8, signed: bool) -> Result<u64, TrapCause> {
-        let raw = self.mem.read_uint(addr, width)?;
-        self.charge_mem(addr, width as u64, false);
-        Ok(if signed {
-            match width {
-                1 => raw as u8 as i8 as i64 as u64,
-                2 => raw as u16 as i16 as i64 as u64,
-                4 => raw as u32 as i32 as i64 as u64,
-                _ => raw,
-            }
+    /// Resolves an `N`-byte access at `base + imm`: through capability
+    /// register `base` when `CAP`, else through the DDC.
+    #[inline(always)]
+    fn access_addr<const N: usize, const CAP: bool>(
+        &self,
+        base: u8,
+        imm: i32,
+        perm: Perms,
+    ) -> Result<u64, TrapCause> {
+        if CAP {
+            self.cap_addr(base, imm, N as u64, perm)
         } else {
-            raw
-        })
+            self.legacy_addr(base, imm, N as u64, perm)
+        }
     }
 
-    #[inline]
-    fn store(&mut self, addr: u64, width: u8, v: u64) -> Result<(), TrapCause> {
-        self.mem.write_uint(addr, v, width)?;
-        self.charge_mem(addr, width as u64, true);
+    /// The `N`-byte load at `base + imm` into `rd`, sign-extended when
+    /// `SIGNED`, addressed through capability `base` when `CAP` (else
+    /// DDC-relative through integer register `base`). Every integer load
+    /// of both bindings: `exec_flat`'s `Load` arm and the template tier's
+    /// handlers.
+    #[inline(always)]
+    pub(crate) fn load<const N: usize, const SIGNED: bool, const CAP: bool>(
+        &mut self,
+        rd: u8,
+        base: u8,
+        imm: i32,
+    ) -> Result<(), TrapCause> {
+        let addr = self.access_addr::<N, CAP>(base, imm, Perms::LOAD)?;
+        let raw = self.mem.read::<N>(addr)?;
+        self.charge_mem(addr, N as u64, false);
+        let mut word = [0; 8];
+        word[..N].copy_from_slice(&raw);
+        let v = u64::from_le_bytes(word);
+        // Shift the value's top bit to bit 63 and back: arithmetically
+        // when signed. A no-op for N = 8.
+        let shift = 64 - 8 * N as u32;
+        let v = if SIGNED {
+            ((v << shift) as i64 >> shift) as u64
+        } else {
+            v
+        };
+        self.set_reg(rd, v);
         Ok(())
+    }
+
+    /// The `N`-byte store of `rv`'s low bytes at `base + imm`, addressed
+    /// like [`Vm::load`]. Every integer store of both bindings.
+    #[inline(always)]
+    pub(crate) fn store<const N: usize, const CAP: bool>(
+        &mut self,
+        rv: u8,
+        base: u8,
+        imm: i32,
+    ) -> Result<(), TrapCause> {
+        let addr = self.access_addr::<N, CAP>(base, imm, Perms::STORE)?;
+        let bytes = self.reg(rv).to_le_bytes();
+        let low = *bytes
+            .first_chunk::<N>()
+            .expect("a scalar is at most 8 bytes");
+        self.mem.write_scalar(addr, low)?;
+        self.charge_mem(addr, N as u64, true);
+        Ok(())
+    }
+
+    /// `CIncOffset`/`CIncOffsetImm`: `cd` is `cb` moved by `by`.
+    #[inline(always)]
+    pub(crate) fn c_inc_offset(&mut self, cd: u8, cb: u8, by: i64) -> Result<(), TrapCause> {
+        self.caps[cd as usize] = self.caps[cb as usize].inc_offset(by)?;
+        Ok(())
+    }
+
+    /// `CSetBounds`: `cd` is `cb` narrowed to `len` bytes from its cursor.
+    #[inline(always)]
+    pub(crate) fn c_set_bounds(&mut self, cd: u8, cb: u8, len: u64) -> Result<(), TrapCause> {
+        self.caps[cd as usize] = self.caps[cb as usize].set_bounds(len)?;
+        Ok(())
+    }
+
+    /// `CFromPtr`: `cd` is `cb` pointed at offset `ptr`, or null for a
+    /// null `ptr`.
+    #[inline(always)]
+    pub(crate) fn c_from_ptr(&mut self, cd: u8, cb: u8, ptr: u64) -> Result<(), TrapCause> {
+        self.caps[cd as usize] = Capability::from_ptr(&self.caps[cb as usize], ptr)?;
+        Ok(())
+    }
+
+    /// `CMove`: `cd` is a copy of `cb`.
+    #[inline(always)]
+    pub(crate) fn c_move(&mut self, cd: u8, cb: u8) {
+        self.caps[cd as usize] = self.caps[cb as usize];
+    }
+
+    /// `CGetTag`: `cb`'s tag as 0 or 1.
+    #[inline(always)]
+    pub(crate) fn c_get_tag(&self, cb: u8) -> u64 {
+        u64::from(self.caps[cb as usize].tag())
+    }
+
+    /// `CToPtr`: `cb` as an integer pointer relative to `ct`'s base.
+    #[inline(always)]
+    pub(crate) fn c_to_ptr(&self, cb: u8, ct: u8) -> u64 {
+        self.caps[cb as usize].to_ptr(&self.caps[ct as usize])
     }
 
     /// Executes one flattened micro-op (see [`crate::ir`]) at `pc`,
@@ -752,35 +834,61 @@ impl Vm {
                 width,
                 signed,
                 via_cap,
-            } => self
-                .exec_load(rd, base, off, width, signed, via_cap)
-                .map(|()| next),
+            } => {
+                macro_rules! load {
+                    ($n:literal) => {
+                        match (signed, via_cap) {
+                            (false, false) => self.load::<$n, false, false>(rd, base, off),
+                            (false, true) => self.load::<$n, false, true>(rd, base, off),
+                            (true, false) => self.load::<$n, true, false>(rd, base, off),
+                            (true, true) => self.load::<$n, true, true>(rd, base, off),
+                        }
+                    };
+                }
+                match width {
+                    1 => load!(1),
+                    2 => load!(2),
+                    4 => load!(4),
+                    _ => load!(8),
+                }
+                .map(|()| next)
+            }
             FlatOp::Store {
                 rv,
                 base,
                 off,
                 width,
                 via_cap,
-            } => self
-                .exec_store(rv, base, off, width, via_cap)
-                .map(|()| next),
+            } => {
+                macro_rules! store {
+                    ($n:literal) => {
+                        if via_cap {
+                            self.store::<$n, true>(rv, base, off)
+                        } else {
+                            self.store::<$n, false>(rv, base, off)
+                        }
+                    };
+                }
+                match width {
+                    1 => store!(1),
+                    2 => store!(2),
+                    4 => store!(4),
+                    _ => store!(8),
+                }
+                .map(|()| next)
+            }
             FlatOp::Clc { cd, cb, off } => self.exec_clc(cd, cb, off).map(|()| next),
             FlatOp::Csc { cs, cb, off } => self.exec_csc(cs, cb, off).map(|()| next),
-            FlatOp::CIncOffset { cd, cb, rt } => {
-                self.caps[cd as usize] = self.caps[cb as usize].inc_offset(self.reg(rt) as i64)?;
-                Ok(next)
-            }
-            FlatOp::CIncOffsetImm { cd, cb, imm } => {
-                self.caps[cd as usize] = self.caps[cb as usize].inc_offset(imm)?;
-                Ok(next)
-            }
+            FlatOp::CIncOffset { cd, cb, rt } => self
+                .c_inc_offset(cd, cb, self.reg(rt) as i64)
+                .map(|()| next),
+            FlatOp::CIncOffsetImm { cd, cb, imm } => self.c_inc_offset(cd, cb, imm).map(|()| next),
             FlatOp::CSetOffset { cd, cb, rt } => {
                 self.caps[cd as usize] = self.caps[cb as usize].set_offset(self.reg(rt))?;
                 Ok(next)
             }
             FlatOp::CSetBounds { cd, cb, rt } => {
-                self.caps[cd as usize] = self.caps[cb as usize].set_bounds(self.reg(rt))?;
-                Ok(next)
+                self.c_set_bounds(cd, cb, self.reg(rt)).map(|()| next)
             }
             FlatOp::CAndPerm { cd, cb, rt } => {
                 self.caps[cd as usize] =
@@ -792,14 +900,14 @@ impl Vm {
                 Ok(next)
             }
             FlatOp::CMove { cd, cb } => {
-                self.caps[cd as usize] = self.caps[cb as usize];
+                self.c_move(cd, cb);
                 Ok(next)
             }
             FlatOp::CGetBase { rd, cb } => alu!(rd, self.caps[cb as usize].base()),
             FlatOp::CGetLen { rd, cb } => alu!(rd, self.caps[cb as usize].length()),
             FlatOp::CGetOffset { rd, cb } => alu!(rd, self.caps[cb as usize].offset()),
             FlatOp::CGetPerm { rd, cb } => alu!(rd, self.caps[cb as usize].perms().bits() as u64),
-            FlatOp::CGetTag { rd, cb } => alu!(rd, u64::from(self.caps[cb as usize].tag())),
+            FlatOp::CGetTag { rd, cb } => alu!(rd, self.c_get_tag(cb)),
             FlatOp::CPtrCmp { rd, cb, ct, sel } => {
                 let r = ptr_cmp(&self.caps[cb as usize], &self.caps[ct as usize]);
                 let v = match sel {
@@ -810,9 +918,7 @@ impl Vm {
                 };
                 alu!(rd, u64::from(v))
             }
-            FlatOp::CToPtr { rd, cb, ct } => {
-                alu!(rd, self.caps[cb as usize].to_ptr(&self.caps[ct as usize]))
-            }
+            FlatOp::CToPtr { rd, cb, ct } => alu!(rd, self.c_to_ptr(cb, ct)),
             FlatOp::Syscall { n } => self.syscall(n).map(|()| next),
             FlatOp::Break => Err(TrapCause::Breakpoint),
             FlatOp::CIncBase { cd, cb, rt } => {
@@ -823,11 +929,7 @@ impl Vm {
                 self.caps[cd as usize] = self.caps[cb as usize].set_length(self.reg(rt))?;
                 Ok(next)
             }
-            FlatOp::CFromPtr { cd, cb, rt } => {
-                self.caps[cd as usize] =
-                    Capability::from_ptr(&self.caps[cb as usize], self.reg(rt))?;
-                Ok(next)
-            }
+            FlatOp::CFromPtr { cd, cb, rt } => self.c_from_ptr(cd, cb, self.reg(rt)).map(|()| next),
             FlatOp::CSeal { cd, cb, ct } => {
                 self.caps[cd as usize] = self.caps[cb as usize].seal(&self.caps[ct as usize])?;
                 Ok(next)
@@ -902,43 +1004,6 @@ impl Vm {
         self.mem.write_cap(addr, &self.caps[cs as usize])?;
         self.charge_mem(addr, self.cfg.cap_format.stored_bytes(), true);
         Ok(())
-    }
-
-    #[inline]
-    pub(crate) fn exec_load(
-        &mut self,
-        rd: u8,
-        base: u8,
-        imm: i32,
-        width: u8,
-        signed: bool,
-        via_cap: bool,
-    ) -> Result<(), TrapCause> {
-        let addr = if via_cap {
-            self.cap_addr(base, imm, width as u64, Perms::LOAD)?
-        } else {
-            self.legacy_addr(base, imm, width as u64, Perms::LOAD)?
-        };
-        let v = self.load(addr, width, signed)?;
-        self.set_reg(rd, v);
-        Ok(())
-    }
-
-    #[inline]
-    pub(crate) fn exec_store(
-        &mut self,
-        rv: u8,
-        base: u8,
-        imm: i32,
-        width: u8,
-        via_cap: bool,
-    ) -> Result<(), TrapCause> {
-        let addr = if via_cap {
-            self.cap_addr(base, imm, width as u64, Perms::STORE)?
-        } else {
-            self.legacy_addr(base, imm, width as u64, Perms::STORE)?
-        };
-        self.store(addr, width, self.reg(rv))
     }
 
     fn syscall(&mut self, n: i32) -> Result<(), TrapCause> {

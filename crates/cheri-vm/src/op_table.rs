@@ -1,24 +1,31 @@
 //! The per-opcode semantics table: for every [`Op`], one or more edge
 //! cases with their literal outcome — next pc or trap cause, and every
-//! integer register, capability register, PCC and memory word the op
+//! integer register, capability register, PCC, memory byte and tag the op
 //! writes. Each row runs as a one-op block body bound by
 //! [`crate::backend::bind`] for both backend kinds; the reference binds the
 //! op to `Vm::exec_flat` over `flatten`, exactly what `Vm::step` executes
 //! after its fetch. The row lookup is an
 //! exhaustive `match` on [`Op`], so a new opcode does not compile without
-//! a row.
+//! a row. Every load width × signedness × addressing mode and every store
+//! width × addressing mode has rows for its extension, its tag clearing,
+//! and the edges of the null guard, of its capability's bounds and of
+//! memory.
 
 use crate::backend::{bind, exec};
 use crate::ir::flatten;
 use crate::{sys, BackendKind, TrapCause, Vm, VmConfig};
 use cheri_cap::{CapError, Capability, Perms};
-use cheri_isa::{CmpOp, Instr, Op, Program};
+use cheri_isa::{CmpOp, Instr, Op, Program, DDC};
 use cheri_mem::MemError;
 
 /// The pc every row executes at.
 const P: u64 = 4;
 const MIN: u64 = i64::MIN as u64;
 const MAX: u64 = u64::MAX;
+/// The size of the machine's memory: one past its last byte.
+const END: u64 = 16 << 20;
+/// The memory bytes every row checks whole: the data capability's.
+const WINDOW: (u64, u64) = (0x8000, 0x100);
 
 /// The code capability the machine boots with: 16 instructions.
 fn code() -> Capability {
@@ -40,19 +47,28 @@ fn sealed() -> Capability {
     data().seal(&authority()).unwrap()
 }
 
+/// A capability reaching past the end of memory, so an access there gets
+/// past the capability check to the memory's own.
+fn beyond() -> Capability {
+    Capability::new_mem(0, 2 * END, Perms::all())
+}
+
 /// The standard machine every row starts from:
 ///
 /// * `r2` = 0xD0 (the usual destination), `a0` = 24, `r8` = `i64::MIN`,
 ///   `r9` = -1, `r10` = 0x20, `r11` = 63, `r12` = 64, `r13` = 0x8000,
-///   `r14` = 7.
+///   `r14` = 7, `r15` = the memory's size.
 /// * `c5` = data capability `[0x8000, 0x8100)`, `c6` = `c5` untagged,
 ///   `c7` = `c5` sealed with object type 9, `c8` = the code capability
 ///   at offset 0x10, `c9` = the sealing authority for type 9.
-/// * Memory: `0x8081828384858687` at 0x8000, `c5` at 0x8040.
+/// * Memory: `0x8081828384858687` at 0x8000, `0x8000_0000_0000_8000` at
+///   0x8020 (so `0x80`, `0x8000` and `0x8000_0000` sit at 0x8021, 0x8020
+///   and 0x8024), and `c5`, tagged, at 0x8040 and at 0x8060.
 fn machine() -> Vm {
     let mut p = Program::new();
     p.code = vec![Instr::new(Op::Nop, 0, 0, 0, 0); 16];
     let mut vm = Vm::new(p, VmConfig::functional());
+    assert_eq!(vm.config().mem_size, END);
     let regs = [
         (2, 0xD0),
         (4, 24),
@@ -63,6 +79,7 @@ fn machine() -> Vm {
         (12, 64),
         (13, 0x8000),
         (14, 7),
+        (15, END),
     ];
     for (r, v) in regs {
         vm.set_reg(r, v);
@@ -75,13 +92,17 @@ fn machine() -> Vm {
     vm.mem_mut()
         .write_u64(0x8000, 0x8081_8283_8485_8687)
         .unwrap();
+    vm.mem_mut()
+        .write_u64(0x8020, 0x8000_0000_0000_8000)
+        .unwrap();
     vm.mem_mut().write_cap(0x8040, &data()).unwrap();
+    vm.mem_mut().write_cap(0x8060, &data()).unwrap();
     vm
 }
 
 /// One case: an instruction, an optional tweak to the standard machine,
-/// and the literal outcome. Registers, capabilities and the PCC not named
-/// must come out unchanged.
+/// and the literal outcome. Registers, capabilities, the PCC, the bytes of
+/// [`WINDOW`] and the tags not named must come out unchanged.
 struct Row {
     instr: Instr,
     setup: fn(&mut Vm),
@@ -89,7 +110,10 @@ struct Row {
     regs: Vec<(u8, u64)>,
     caps: Vec<(u8, Capability)>,
     pcc: Option<Capability>,
-    mem: Vec<(u64, u64)>,
+    /// Bytes written: each run of bytes at its address.
+    mem: Vec<(u64, Vec<u8>)>,
+    /// Granules whose tag the op clears.
+    untag: Vec<u64>,
 }
 
 /// A row that falls through to `P + 1` unless told otherwise.
@@ -102,6 +126,7 @@ fn ok(instr: Instr) -> Row {
         caps: Vec::new(),
         pcc: None,
         mem: Vec::new(),
+        untag: Vec::new(),
     }
 }
 
@@ -134,14 +159,34 @@ impl Row {
         self
     }
 
-    fn mem(mut self, addr: u64, v: u64) -> Row {
-        self.mem.push((addr, v));
+    /// The 8-byte word at `addr` reads `v`.
+    fn mem(self, addr: u64, v: u64) -> Row {
+        self.bytes(addr, &v.to_le_bytes())
+    }
+
+    fn bytes(mut self, addr: u64, b: &[u8]) -> Row {
+        self.mem.push((addr, b.to_vec()));
+        self
+    }
+
+    fn untag(mut self, granule: u64) -> Row {
+        self.untag.push(granule);
         self
     }
 
     fn setup(mut self, f: fn(&mut Vm)) -> Row {
         self.setup = f;
         self
+    }
+
+    /// The DDC reaches past the end of memory.
+    fn wide_ddc(self) -> Row {
+        self.setup(|vm| vm.set_cap(DDC, beyond()))
+    }
+
+    /// `c10` reaches past the end of memory.
+    fn wide_c10(self) -> Row {
+        self.setup(|vm| vm.set_cap(10, beyond()))
     }
 }
 
@@ -245,33 +290,194 @@ fn rows(op: Op) -> Vec<Row> {
         Op::Jr => vec![ok(new(0, 14, 0, 0)).to(7)],
         // `jalr r, r` jumps to the register's old value.
         Op::Jalr => vec![ok(new(14, 14, 0, 0)).to(7).reg(14, P + 1)],
-        Op::Lb => vec![ok(mem(2, 13, 0)).reg(2, 0xFFFF_FFFF_FFFF_FF87)],
-        Op::Lbu => vec![ok(mem(2, 13, 1)).reg(2, 0x86)],
-        Op::Lh => vec![ok(mem(2, 13, 6)).reg(2, 0xFFFF_FFFF_FFFF_8081)],
-        Op::Lhu => vec![ok(mem(2, 13, 0)).reg(2, 0x8687)],
-        Op::Lw => vec![ok(mem(2, 13, 4)).reg(2, 0xFFFF_FFFF_8081_8283)],
-        Op::Lwu => vec![ok(mem(2, 13, 0)).reg(2, 0x8485_8687)],
-        Op::Ld => vec![trap(mem(2, 10, 0), TrapCause::NullGuard { addr: 0x20 })],
-        Op::Sb => vec![ok(mem(9, 13, 8)).mem(0x8008, 0xFF)],
-        Op::Sh => vec![ok(mem(9, 13, 8)).mem(0x8008, 0xFFFF)],
-        Op::Sw => vec![ok(mem(9, 13, 8)).mem(0x8008, 0xFFFF_FFFF)],
-        Op::Sd => vec![ok(mem(8, 13, 8)).mem(0x8008, MIN)],
-        Op::Clb => vec![ok(mem(2, 5, 0)).reg(2, 0xFFFF_FFFF_FFFF_FF87)],
-        // The last byte in bounds loads; one more byte does not.
-        Op::Clbu => vec![ok(mem(2, 5, 0xFF)).reg(2, 0)],
-        Op::Clh => vec![trap(mem(2, 5, 0xFF), bounds(0x80FF, 2))],
-        Op::Clhu => vec![trap(mem(2, 6, 0), CapError::TagViolation)],
-        Op::Clw => vec![trap(mem(2, 7, 0), CapError::SealViolation)],
-        Op::Clwu => vec![ok(mem(2, 5, 4)).reg(2, 0x8081_8283)],
+        // Loads: sign versus zero extension of 0x80, 0x8000 and
+        // 0x8000_0000; the null guard's last byte against the first byte
+        // past it; the last byte of memory against one byte past it.
+        Op::Lb => vec![
+            ok(mem(2, 13, 0)).reg(2, 0xFFFF_FFFF_FFFF_FF87),
+            ok(mem(2, 13, 0x21)).reg(2, 0xFFFF_FFFF_FFFF_FF80),
+            trap(mem(2, 0, 0xFFF), TrapCause::NullGuard { addr: 0xFFF }),
+            ok(mem(2, 0, 0x1000)).reg(2, 0),
+        ],
+        Op::Lbu => vec![
+            ok(mem(2, 13, 1)).reg(2, 0x86),
+            ok(mem(2, 13, 0x21)).reg(2, 0x80),
+            ok(mem(2, 15, -1)).reg(2, 0).wide_ddc(),
+        ],
+        Op::Lh => vec![
+            ok(mem(2, 13, 6)).reg(2, 0xFFFF_FFFF_FFFF_8081),
+            ok(mem(2, 13, 0x20)).reg(2, 0xFFFF_FFFF_FFFF_8000),
+        ],
+        Op::Lhu => vec![
+            ok(mem(2, 13, 0)).reg(2, 0x8687),
+            ok(mem(2, 13, 0x20)).reg(2, 0x8000),
+            trap(
+                mem(2, 15, -1),
+                MemError::OutOfRange {
+                    addr: END - 1,
+                    len: 2,
+                },
+            )
+            .wide_ddc(),
+            // Without the wide DDC, its bounds stop the access first.
+            trap(mem(2, 15, -1), bounds(END - 1, 2)),
+        ],
+        Op::Lw => vec![
+            ok(mem(2, 13, 4)).reg(2, 0xFFFF_FFFF_8081_8283),
+            ok(mem(2, 13, 0x24)).reg(2, 0xFFFF_FFFF_8000_0000),
+        ],
+        Op::Lwu => vec![
+            ok(mem(2, 13, 0)).reg(2, 0x8485_8687),
+            ok(mem(2, 13, 0x24)).reg(2, 0x8000_0000),
+        ],
+        Op::Ld => vec![
+            trap(mem(2, 10, 0), TrapCause::NullGuard { addr: 0x20 }),
+            ok(mem(2, 13, 0x20)).reg(2, 0x8000_0000_0000_8000),
+            ok(mem(2, 15, -8)).reg(2, 0).wide_ddc(),
+            trap(
+                mem(2, 15, -7),
+                MemError::OutOfRange {
+                    addr: END - 7,
+                    len: 8,
+                },
+            )
+            .wide_ddc(),
+        ],
+        // Stores: inside a tagged granule (clearing exactly its tag),
+        // across two tagged granules (clearing both), the null guard and
+        // the end of memory.
+        Op::Sb => vec![
+            ok(mem(9, 13, 8)).mem(0x8008, 0xFF),
+            ok(mem(9, 13, 0x48)).bytes(0x8048, &[0xFF]).untag(0x8040),
+            trap(mem(9, 0, 0xFFF), TrapCause::NullGuard { addr: 0xFFF }),
+            ok(mem(9, 0, 0x1000)).bytes(0x1000, &[0xFF]),
+            ok(mem(9, 15, -1)).bytes(END - 1, &[0xFF]).wide_ddc(),
+        ],
+        Op::Sh => vec![
+            ok(mem(9, 13, 8)).mem(0x8008, 0xFFFF),
+            ok(mem(9, 13, 0x5F))
+                .bytes(0x805F, &[0xFF; 2])
+                .untag(0x8040)
+                .untag(0x8060),
+            trap(
+                mem(9, 15, -1),
+                MemError::OutOfRange {
+                    addr: END - 1,
+                    len: 2,
+                },
+            )
+            .wide_ddc(),
+        ],
+        Op::Sw => vec![
+            ok(mem(9, 13, 8)).mem(0x8008, 0xFFFF_FFFF),
+            ok(mem(9, 13, 0x5E))
+                .bytes(0x805E, &[0xFF; 4])
+                .untag(0x8040)
+                .untag(0x8060),
+        ],
+        Op::Sd => vec![
+            ok(mem(8, 13, 8)).mem(0x8008, MIN),
+            ok(mem(9, 13, 0x5C))
+                .bytes(0x805C, &[0xFF; 8])
+                .untag(0x8040)
+                .untag(0x8060),
+            trap(mem(9, 0, 0x10), TrapCause::NullGuard { addr: 0x10 }),
+            ok(mem(9, 15, -8)).bytes(END - 8, &[0xFF; 8]).wide_ddc(),
+            trap(
+                mem(9, 15, -7),
+                MemError::OutOfRange {
+                    addr: END - 7,
+                    len: 8,
+                },
+            )
+            .wide_ddc(),
+        ],
+        // Capability loads and stores: the same extensions and tags, and
+        // an access ending exactly at the capability's top against one
+        // byte past it.
+        Op::Clb => vec![
+            ok(mem(2, 5, 0)).reg(2, 0xFFFF_FFFF_FFFF_FF87),
+            ok(mem(2, 5, 0x21)).reg(2, 0xFFFF_FFFF_FFFF_FF80),
+        ],
+        Op::Clbu => vec![
+            ok(mem(2, 5, 0xFF)).reg(2, 0),
+            ok(mem(2, 5, 0x21)).reg(2, 0x80),
+            ok(mem(2, 10, END as i32 - 1)).reg(2, 0).wide_c10(),
+        ],
+        Op::Clh => vec![
+            trap(mem(2, 5, 0xFF), bounds(0x80FF, 2)),
+            ok(mem(2, 5, 0xFE)).reg(2, 0),
+            ok(mem(2, 5, 0x20)).reg(2, 0xFFFF_FFFF_FFFF_8000),
+        ],
+        Op::Clhu => vec![
+            trap(mem(2, 6, 0), CapError::TagViolation),
+            ok(mem(2, 5, 0x20)).reg(2, 0x8000),
+            trap(
+                mem(2, 10, END as i32 - 1),
+                MemError::OutOfRange {
+                    addr: END - 1,
+                    len: 2,
+                },
+            )
+            .wide_c10(),
+        ],
+        Op::Clw => vec![
+            trap(mem(2, 7, 0), CapError::SealViolation),
+            ok(mem(2, 5, 0x24)).reg(2, 0xFFFF_FFFF_8000_0000),
+        ],
+        Op::Clwu => vec![
+            ok(mem(2, 5, 4)).reg(2, 0x8081_8283),
+            ok(mem(2, 5, 0x24)).reg(2, 0x8000_0000),
+            ok(mem(2, 5, 0xFC)).reg(2, 0),
+            trap(mem(2, 5, 0xFD), bounds(0x80FD, 4)),
+        ],
         // A negative displacement wraps below the base.
-        Op::Cld => vec![trap(mem(2, 5, -8), bounds(0x7FF8, 8))],
-        Op::Csb => vec![ok(mem(9, 5, 0x10)).mem(0x8010, 0xFF)],
-        Op::Csh => vec![trap(
-            mem(9, 8, 0),
-            CapError::PermissionViolation(Perms::STORE),
-        )],
-        Op::Csw => vec![trap(mem(9, 6, 0), CapError::TagViolation)],
-        Op::Csd => vec![ok(mem(8, 5, 0x18)).mem(0x8018, MIN)],
+        Op::Cld => vec![
+            trap(mem(2, 5, -8), bounds(0x7FF8, 8)),
+            ok(mem(2, 5, 0x20)).reg(2, 0x8000_0000_0000_8000),
+            ok(mem(2, 5, 0xF8)).reg(2, 0),
+            trap(mem(2, 5, 0xF9), bounds(0x80F9, 8)),
+        ],
+        Op::Csb => vec![
+            ok(mem(9, 5, 0x10)).mem(0x8010, 0xFF),
+            ok(mem(9, 5, 0x48)).bytes(0x8048, &[0xFF]).untag(0x8040),
+            ok(mem(9, 10, END as i32 - 1))
+                .bytes(END - 1, &[0xFF])
+                .wide_c10(),
+        ],
+        Op::Csh => vec![
+            trap(mem(9, 8, 0), CapError::PermissionViolation(Perms::STORE)),
+            ok(mem(9, 5, 0x5F))
+                .bytes(0x805F, &[0xFF; 2])
+                .untag(0x8040)
+                .untag(0x8060),
+            trap(
+                mem(9, 10, END as i32 - 1),
+                MemError::OutOfRange {
+                    addr: END - 1,
+                    len: 2,
+                },
+            )
+            .wide_c10(),
+        ],
+        Op::Csw => vec![
+            trap(mem(9, 6, 0), CapError::TagViolation),
+            ok(mem(9, 5, 0x5E))
+                .bytes(0x805E, &[0xFF; 4])
+                .untag(0x8040)
+                .untag(0x8060),
+            ok(mem(9, 5, 0xFC)).bytes(0x80FC, &[0xFF; 4]),
+            trap(mem(9, 5, 0xFD), bounds(0x80FD, 4)),
+        ],
+        Op::Csd => vec![
+            ok(mem(8, 5, 0x18)).mem(0x8018, MIN),
+            ok(mem(9, 5, 0x5C))
+                .bytes(0x805C, &[0xFF; 8])
+                .untag(0x8040)
+                .untag(0x8060),
+            ok(mem(9, 5, 0xF8)).bytes(0x80F8, &[0xFF; 8]),
+            trap(mem(9, 5, 0xF9), bounds(0x80F9, 8)),
+        ],
         Op::Clc => vec![ok(mem(3, 5, 0x40)).cap(3, data())],
         Op::Csc => vec![trap(mem(5, 5, 8), MemError::Misaligned { addr: 0x8008 })],
         Op::CIncBase => {
@@ -355,6 +561,16 @@ fn every_opcode_has_its_literal_outcome_on_both_backends() {
                 let mut regs: Vec<u64> = (0..32).map(|r| vm.reg(r)).collect();
                 let mut caps: Vec<Capability> = (0..32).map(|c| vm.cap(c)).collect();
                 let pcc = row.pcc.unwrap_or(vm.pcc());
+                let mut window = vm.mem().read_bytes(WINDOW.0, WINDOW.1).unwrap().to_vec();
+                for (addr, b) in &row.mem {
+                    if let Some(at) = addr.checked_sub(WINDOW.0) {
+                        if let Some(dst) = window.get_mut(at as usize..at as usize + b.len()) {
+                            dst.copy_from_slice(b);
+                        }
+                    }
+                }
+                let mut tags: Vec<u64> = vm.mem().tagged_granules().collect();
+                tags.retain(|g| !row.untag.contains(g));
                 for &(r, v) in &row.regs {
                     regs[r as usize] = v;
                 }
@@ -367,9 +583,14 @@ fn every_opcode_has_its_literal_outcome_on_both_backends() {
                     assert_eq!(vm.cap(r), caps[r as usize], "{what}: c{r}");
                 }
                 assert_eq!(vm.pcc(), pcc, "{what}: pcc");
-                for &(addr, v) in &row.mem {
-                    assert_eq!(vm.mem().read_u64(addr), Ok(v), "{what}: [{addr:#x}]");
+                for (addr, b) in &row.mem {
+                    let got = vm.mem().read_bytes(*addr, b.len() as u64).unwrap();
+                    assert_eq!(got, &b[..], "{what}: [{addr:#x}]");
                 }
+                let got = vm.mem().read_bytes(WINDOW.0, WINDOW.1).unwrap();
+                assert_eq!(got, &window[..], "{what}: bytes of {WINDOW:x?}");
+                let got: Vec<u64> = vm.mem().tagged_granules().collect();
+                assert_eq!(got, tags, "{what}: tagged granules");
             }
         }
     }

@@ -1,19 +1,23 @@
 //! Robustness at the `Program::from_words` entry point: random instruction
 //! images — every opcode, random registers, edge immediates, random entry
-//! points, some raw words that do not decode — must never panic the host.
+//! points, some raw words that do not decode, half the memory ops aimed at
+//! the stack so that they land — must never panic the host.
 //! Each image either fails to decode with a typed error or runs, under a
 //! small random fuel budget, on every backend at both optimization levels,
 //! with and without the cache model, under both capability formats. Every
 //! run must end exactly like the reference interpreter's: same exit or
-//! trap, pc, cycles, instructions, registers, output and cache statistics.
+//! trap, pc, cycles, instructions, registers, output, cache statistics
+//! and memory: the bytes of every page the guest wrote, and every tag.
 //!
 //! The generator is deterministic (seeded from the test name, overridable
 //! with `PROPTEST_SEED`), so a failure reproduces from its printed image.
 
 use cheri::cap::{CapFormat, Capability};
-use cheri::isa::{encode, Instr, Op, Program};
+use cheri::isa::{encode, Instr, Op, OpKind, Program};
+use cheri::mem::TaggedMemory;
 use cheri::vm::{BackendKind, CacheStats, OptLevel, Vm, VmConfig, VmTrap};
 use proptest::test_runner::TestRng;
+use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Images that decode and run per `cargo test` run.
@@ -36,6 +40,56 @@ struct Outcome {
     caps: Vec<Capability>,
     output: Vec<u8>,
     cache: Option<CacheStats>,
+    memory: Memory,
+}
+
+/// What a run left in memory, at the cost of what the guest touched:
+/// the pages it wrote (zero and untagged everywhere else), their bytes,
+/// and their tagged granules. A store that writes the wrong bytes or leaves a tag set
+/// diverges here even when nothing reads it back.
+#[derive(PartialEq)]
+struct Memory {
+    pages: Vec<(u64, u64)>,
+    bytes: Vec<u8>,
+    tags: Vec<u64>,
+}
+
+impl Memory {
+    fn of(mem: &TaggedMemory) -> Memory {
+        let pages: Vec<(u64, u64)> = mem.dirty_ranges().collect();
+        let (mut bytes, mut tags) = (Vec::new(), Vec::new());
+        for &(start, end) in &pages {
+            bytes.extend_from_slice(mem.read_bytes(start, end - start).expect("in range"));
+            // Only a write sets a tag, so every tag lies in a written page.
+            tags.extend(
+                (start..end)
+                    .step_by(32)
+                    .filter(|&g| mem.tag_at(g) == Ok(true)),
+            );
+        }
+        Memory { pages, bytes, tags }
+    }
+}
+
+/// The written pages' nonzero 8-byte words by address, not their every
+/// byte.
+impl fmt::Debug for Memory {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let addrs = self
+            .pages
+            .iter()
+            .flat_map(|&(start, end)| (start..end).step_by(8));
+        let words: Vec<String> = addrs
+            .zip(self.bytes.chunks(8))
+            .filter(|(_, w)| w.iter().any(|&b| b != 0))
+            .map(|(a, w)| format!("{a:#x}: {w:02x?}"))
+            .collect();
+        f.debug_struct("Memory")
+            .field("pages", &self.pages)
+            .field("words", &words)
+            .field("tags", &self.tags)
+            .finish()
+    }
 }
 
 /// Register fields: mostly the zero register, the stack pointer, the
@@ -87,6 +141,27 @@ fn integer_ops() -> Vec<Op> {
         .collect()
 }
 
+/// The register that addresses the stack for a memory op: `sp` for the
+/// legacy ones, `c11` for the capability ones.
+fn stack_base(op: Op) -> Option<u8> {
+    match op.kind() {
+        OpKind::Load | OpKind::Store => Some(cheri::isa::SP),
+        OpKind::CLoad | OpKind::CStore | OpKind::CMemCap => Some(11),
+        _ => None,
+    }
+}
+
+/// A displacement from the top of the stack frame that stays in bounds:
+/// usually a whole granule below it (where `clc`/`csc` may go), otherwise
+/// any byte in the 72 around it, so accesses straddle granules.
+fn stack_offset(rng: &mut TestRng) -> i32 {
+    if rng.below(2) == 0 {
+        -32 * (1 + rng.below(2) as i32)
+    } else {
+        rng.below(72) as i32 - 64
+    }
+}
+
 /// A random instruction image and entry point. Half the images use every
 /// opcode, half only the integer ops.
 fn image(rng: &mut TestRng, integer: &[Op]) -> (Vec<u64>, u64) {
@@ -98,8 +173,21 @@ fn image(rng: &mut TestRng, integer: &[Op]) -> (Vec<u64>, u64) {
                 return rng.next_u64();
             }
             let op = pool[rng.below(pool.len() as u64) as usize];
-            let (rd, rs, rt) = (register(rng), register(rng), register(rng));
-            encode(&Instr::new(op, rd, rs, rt, immediate(rng, op, len)))
+            let (mut rd, mut rs, rt) = (register(rng), register(rng), register(rng));
+            let mut imm = immediate(rng, op, len);
+            if let Some(stack) = stack_base(op) {
+                if rng.below(2) == 0 {
+                    (rs, imm) = (stack, stack_offset(rng));
+                    // Store what is never zero: the stack pointer, or the
+                    // stack capability with its tag.
+                    rd = match op.kind() {
+                        OpKind::Store | OpKind::CStore => cheri::isa::SP,
+                        _ if op == Op::Csc => stack,
+                        _ => rd,
+                    };
+                }
+            }
+            encode(&Instr::new(op, rd, rs, rt, imm))
         })
         .collect();
     let entry = match rng.below(10) {
@@ -138,6 +226,7 @@ fn run(p: &Program, cfg: VmConfig, fuel: u64) -> Outcome {
         caps: (0..32).map(|c| vm.cap(c)).collect(),
         output: vm.output().to_vec(),
         cache: stats.cache,
+        memory: Memory::of(vm.mem()),
     }
 }
 
